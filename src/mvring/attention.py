@@ -8,7 +8,9 @@
   feature maps with a coarser key/value stride, upsampled back bilinearly.
 
 All operators are residual-free: they return the projected attention output
-with the input's shape, and the caller decides how to mix it back in.
+with the input's shape, and the caller decides how to mix it back in. Each
+takes a stack of B rings, [B*f, C, H, W], reads f from the stack's ring and
+mixes views within a ring only.
 """
 
 from __future__ import annotations
@@ -113,36 +115,27 @@ def _merge_heads(t, n_heads):
 
 
 def _mha(q, k, v, n_heads, bias=None):
-    """Multi-head sdpa over [B, n, C] queries; k/v may be shared 2-D [m, C]."""
+    """Multi-head sdpa over [B, n, C] queries and [B, m, C] keys/values."""
     if n_heads == 1:
         return sdpa(q, k, v, bias)
-    b = q.shape[0]
     qh = _split_heads(q, n_heads)
-    if k.ndim == 2:
-        m, c = k.shape
-        kh = k.reshape(m, n_heads, c // n_heads).transpose((1, 0, 2))
-        vh = v.reshape(m, n_heads, c // n_heads).transpose((1, 0, 2))
-        tile = np.tile(np.arange(n_heads), b)
-        kh = take_rows(kh, tile)
-        vh = take_rows(vh, tile)
-    else:
-        kh = _split_heads(k, n_heads)
-        vh = _split_heads(v, n_heads)
+    kh = _split_heads(k, n_heads)
+    vh = _split_heads(v, n_heads)
     if bias is not None:
         bias = np.repeat(np.asarray(bias), n_heads, axis=0)
     return _merge_heads(sdpa(qh, kh, vh, bias), n_heads)
 
 
 def _to_tokens(x):
-    """[f, C, H, W] -> [f, H*W, C]."""
-    f, c, h, w = x.shape
-    return x.transpose((0, 2, 3, 1)).reshape(f, h * w, c)
+    """[n, C, H, W] -> [n, H*W, C]."""
+    n, c, h, w = x.shape
+    return x.transpose((0, 2, 3, 1)).reshape(n, h * w, c)
 
 
 def _to_maps(tokens, h, w):
-    """[f, H*W, C] -> [f, C, H, W]."""
-    f, hw, c = tokens.shape
-    return tokens.reshape(f, h, w, c).transpose((0, 3, 1, 2))
+    """[n, H*W, C] -> [n, C, H, W]."""
+    n, hw, c = tokens.shape
+    return tokens.reshape(n, h, w, c).transpose((0, 3, 1, 2))
 
 
 def _check_channels(stack, params):
@@ -154,20 +147,22 @@ def _check_channels(stack, params):
 def adjacent_attention(stack: LatentStack, params: AttentionParams) -> LatentStack:
     """Attend each view's queries over keys/values of [prev, self, next].
 
-    Neighbours are cyclic on the ring; with f=1 all three slots are the view
-    itself, which renormalizes to plain self-attention.
+    Neighbours are cyclic within each ring; with f=1 all three slots are the
+    view itself, which renormalizes to plain self-attention.
     """
     _check_channels(stack, params)
-    f, c, h, w = stack.data.shape
+    n, c, h, w = stack.data.shape
+    f, b = stack.f, stack.rings
     tokens = _to_tokens(stack.data)
     q = matmul(tokens, params.w_q)
     k = matmul(tokens, params.w_k)
     v = matmul(tokens, params.w_v)
 
     def ring_window(t):
-        prev = concat([t[f - 1:], t[:f - 1]], axis=0) if f > 1 else t
-        nxt = concat([t[1:], t[:1]], axis=0) if f > 1 else t
-        return concat([prev, t, nxt], axis=1)
+        t = t.reshape(b, f, h * w, c)
+        prev = concat([t[:, f - 1:], t[:, :f - 1]], axis=1) if f > 1 else t
+        nxt = concat([t[:, 1:], t[:, :1]], axis=1) if f > 1 else t
+        return concat([prev, t, nxt], axis=2).reshape(n, 3 * h * w, c)
 
     out = matmul(_mha(q, ring_window(k), ring_window(v), params.n_heads),
                  params.w_o)
@@ -207,29 +202,40 @@ def _trajectory_indices(f, h, w):
     return idx, bias_b, scatter_plan(idx)
 
 
+@lru_cache(maxsize=32)
+def _ring_trajectory_indices(b, f, h, w):
+    """_trajectory_indices for B rings: ring r's rows are offset by r*f*H*W."""
+    idx, bias_b, plan = _trajectory_indices(f, h, w)
+    if b == 1:
+        return idx, bias_b, plan
+    idx = (idx[None] + (np.arange(b) * idx.shape[0])[:, None, None]) \
+        .reshape(b * idx.shape[0], idx.shape[1])
+    return idx, np.concatenate([bias_b] * b), scatter_plan(idx)
+
+
 def trajectory_attention(stack: LatentStack, ring: ViewRing,
                          params: AttentionParams) -> LatentStack:
     """Per-pixel attention over rotation-predicted 3x3 windows.
 
     Each pixel attends over at most 27 keys: the predicted window in the
     previous view, its own neighbourhood, and the predicted window in the
-    next view.
+    next view of its ring.
     """
     _check_channels(stack, params)
-    f, c, h, w = stack.data.shape
-    if (ring.H, ring.W) != (h, w) or ring.f != f:
+    n, c, h, w = stack.data.shape
+    if (ring.H, ring.W) != (h, w) or n % ring.f:
         raise ValueError(f"ring {ring.f}x{ring.H}x{ring.W} does not match "
-                         f"stack {f}x{h}x{w}")
+                         f"stack {n}x{h}x{w}")
     hw = h * w
-    idx, bias_b, plan = _trajectory_indices(f, h, w)
+    idx, bias_b, plan = _ring_trajectory_indices(n // ring.f, ring.f, h, w)
     tokens = _to_tokens(stack.data)
-    q = matmul(tokens, params.w_q).reshape(f * hw, 1, c)
-    k = matmul(tokens, params.w_k).reshape(f * hw, c)
-    v = matmul(tokens, params.w_v).reshape(f * hw, c)
+    q = matmul(tokens, params.w_q).reshape(n * hw, 1, c)
+    k = matmul(tokens, params.w_k).reshape(n * hw, c)
+    v = matmul(tokens, params.w_v).reshape(n * hw, c)
     kk = take_rows(k, idx, plan=plan)
     vv = take_rows(v, idx, plan=plan)
     out = _mha(q, kk, vv, params.n_heads, bias_b)
-    out = matmul(out.reshape(f, hw, c), params.w_o)
+    out = matmul(out.reshape(n, hw, c), params.w_o)
     return stack.with_data(_to_maps(out, h, w))
 
 
@@ -262,15 +268,23 @@ class ScoreMapper:
 
 
 def score_map(stack: LatentStack, text_emb, mapper: ScoreMapper) -> Tensor:
-    """Sigmoid relevance of every position to the prompt embedding, [f,1,H,W]."""
-    f, c, h, w = stack.data.shape
+    """Sigmoid relevance of every position to its ring's prompt, [B*f,1,H,W].
+
+    `text_emb` is one embedding [text_dim], or one per ring [B, text_dim].
+    """
+    n, c, h, w = stack.data.shape
     e = text_emb.data if isinstance(text_emb, Tensor) else np.asarray(text_emb)
-    if e.ndim != 1 or c + e.shape[0] != mapper.in_dim:
-        raise ValueError(f"mapper expects dim {mapper.in_dim}, got "
-                         f"{c} channels + {e.shape} embedding")
+    if e.ndim not in (1, 2) or c + e.shape[-1] != mapper.in_dim \
+            or e.reshape(-1, e.shape[-1]).shape[0] != stack.rings:
+        raise ValueError(f"mapper expects dim {mapper.in_dim} and one embedding "
+                         f"per ring, got {c} channels + {e.shape} embedding "
+                         f"for {stack.rings} ring(s)")
     hw = h * w
+    d = e.shape[-1]
     tokens = _to_tokens(stack.data)
-    text = Tensor(np.broadcast_to(e.astype(stack.data.dtype), (f, hw, e.shape[0])).copy())
+    per_view = np.broadcast_to(e.astype(stack.data.dtype).reshape(-1, 1, 1, d),
+                               (stack.rings, stack.f, hw, d))
+    text = Tensor(per_view.reshape(n, hw, d))
     hid = (matmul(concat([tokens, text], axis=2), mapper.w1) + mapper.b1).silu()
     s = (matmul(hid, mapper.w2) + mapper.b2).sigmoid()
     return _to_maps(s, h, w)
@@ -293,14 +307,15 @@ def air_attention(stack: LatentStack, scores: Tensor, cfg: AirConfig,
     """All-view attention over score-scaled pooled maps, upsampled back.
 
     Queries keep a finer stride (tau) than keys/values (rho). Each view's
-    pooled queries attend over the concatenation of every view's pooled
-    keys/values; the result is projected and bilinearly upsampled to the
-    input resolution.
+    pooled queries attend over the concatenation of the pooled keys/values
+    of every view in its ring; the result is projected and bilinearly
+    upsampled to the input resolution.
     """
     _check_channels(stack, params)
-    f, c, h, w = stack.data.shape
-    if scores.shape != (f, 1, h, w):
-        raise ValueError(f"scores must be [f,1,H,W]={f, 1, h, w}, got {scores.shape}")
+    n, c, h, w = stack.data.shape
+    f, b = stack.f, stack.rings
+    if scores.shape != (n, 1, h, w):
+        raise ValueError(f"scores must be [n,1,H,W]={n, 1, h, w}, got {scores.shape}")
     if h % cfg.tau or w % cfg.tau or h % cfg.rho or w % cfg.rho:
         raise ValueError(f"strides {cfg.tau},{cfg.rho} must divide {h}x{w}")
     tokens = _to_tokens(stack.data)
@@ -312,9 +327,10 @@ def air_attention(stack: LatentStack, scores: Tensor, cfg: AirConfig,
     v_pool = avg_pool2d(scores * v_maps, cfg.rho)
     nq = (h // cfg.tau) * (w // cfg.tau)
     nk = (h // cfg.rho) * (w // cfg.rho)
-    q_tok = _to_tokens(q_pool)
-    k_tok = _to_tokens(k_pool).reshape(f * nk, c)
-    v_tok = _to_tokens(v_pool).reshape(f * nk, c)
-    out = matmul(_mha(q_tok, k_tok, v_tok, params.n_heads), params.w_o)
+    q_tok = _to_tokens(q_pool).reshape(b, f * nq, c)
+    k_tok = _to_tokens(k_pool).reshape(b, f * nk, c)
+    v_tok = _to_tokens(v_pool).reshape(b, f * nk, c)
+    out = _mha(q_tok, k_tok, v_tok, params.n_heads).reshape(n, nq, c)
+    out = matmul(out, params.w_o)
     return stack.with_data(
         bilinear_upsample2d(_to_maps(out, h // cfg.tau, w // cfg.tau), cfg.tau))

@@ -127,6 +127,11 @@ def _training_batch(rset, manifest):
     }
 
 
+def _check_steps(args):
+    if args.steps < 1:
+        raise CliError(f"--steps must be >= 1, got {args.steps}", EXIT_CONFIG)
+
+
 def _train_one(rset, manifest, args, stack_flags, scan, seed):
     config = _build_config(manifest, args, stack_flags, scan)
     model = dn.MvDenoiser(config, seed=seed)
@@ -181,6 +186,7 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
+    _check_steps(args)
     rset, manifest = _load_dataset(args.dataset)
     stack_flags = parse_stack(args.stack)
     if args.scan not in SCAN_STRATEGIES:
@@ -274,6 +280,7 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
+    _check_steps(args)
     rset, manifest = _load_dataset(args.dataset)
     stacks = [s.strip() for s in args.stacks.split(",") if s.strip()]
     scans = [s.strip() for s in args.scans.split(",") if s.strip()]

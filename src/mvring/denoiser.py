@@ -6,7 +6,8 @@ per view, with four cross-view operators threaded between the per-view
 layers: adjacent attention, trajectory-window attention, the bidirectional
 spiral scan, and score-pooled all-view rectification. Training minimizes
 the usual eps-prediction MSE; sampling is deterministic DDIM with
-classifier-free guidance.
+classifier-free guidance, evaluating both guidance branches as one batch
+of two rings without recording an autodiff graph.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .attention import (AirConfig, AttentionParams, ScoreMapper,
                         trajectory_attention, _to_maps, _to_tokens)
 from .geometry import LatentStack, ViewRing
 from .scan import SsmParams, rapid_glance
-from .tensor import (MvtError, Tape, Tensor, layer_norm, load_mvt, matmul,
-                     save_mvt, unfold3x3)
+from .tensor import (MvtError, Tape, Tensor, concat, layer_norm, load_mvt,
+                     matmul, no_grad, save_mvt, unfold3x3)
 
 __all__ = [
     "NoiseSchedule",
@@ -56,7 +57,7 @@ OPERATOR_OUT_SCALE = 0.15
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss or gradients became non-finite."""
+    """The training loss became non-finite (gradients are not checked)."""
 
 
 class CheckpointError(RuntimeError):
@@ -274,7 +275,7 @@ def decode_latents(z, upsample=True):
 
 
 def conv3x3(x, w, b):
-    """Same-padded 3x3 convolution of [f,Cin,H,W] by w[Cout, 9*Cin]."""
+    """Same-padded 3x3 convolution of [n,Cin,H,W] by w[Cout, 9*Cin]."""
     f, cin, h, wd = x.shape
     u = unfold3x3(x).reshape(f, 9 * cin, h * wd)
     y = matmul(w, u).reshape(f, w.shape[0], h, wd)
@@ -282,7 +283,7 @@ def conv3x3(x, w, b):
 
 
 def channel_norm(x, gain, bias, eps=1e-5):
-    """Per-position layer norm over the channel axis of [f,C,H,W]."""
+    """Per-position layer norm over the channel axis of [n,C,H,W]."""
     c = x.shape[1]
     return layer_norm(x, gain.reshape(1, c, 1, 1), bias.reshape(1, c, 1, 1),
                       axis=1, eps=eps)
@@ -337,7 +338,7 @@ def res_block(x, emb, p: ResBlockParams):
     """x + conv(silu(norm(x)) + emb); the second conv starts at zero."""
     h = conv3x3(channel_norm(x, p.norm1.gain, p.norm1.bias).silu(),
                 p.conv1.w, p.conv1.b)
-    shift = matmul(emb.silu(), p.emb_proj_w) + p.emb_proj_b      # [f, C]
+    shift = matmul(emb.silu(), p.emb_proj_w) + p.emb_proj_b      # [n, C]
     h = h + shift.reshape(shift.shape[0], shift.shape[1], 1, 1)
     h = conv3x3(channel_norm(h, p.norm2.gain, p.norm2.bias).silu(),
                 p.conv2.w, p.conv2.b)
@@ -345,14 +346,20 @@ def res_block(x, emb, p: ResBlockParams):
 
 
 def cross_attention(x, text_emb, norm: NormParams, params: AttentionParams):
-    """Per-view attention of spatial tokens onto the (single) prompt token."""
-    f, c, h, w = x.shape
+    """Per-view attention of spatial tokens onto their ring's prompt token.
+
+    `x` is [B*f, C, H, W]; `text_emb` is one embedding [text_dim], or one per
+    ring [B, text_dim].
+    """
+    n, c, h, w = x.shape
+    e = np.asarray(text_emb, dtype=x.dtype)
+    e = Tensor(e.reshape(-1, e.shape[-1]))                    # [B, text_dim]
+    b = e.shape[0]
     tokens = _to_tokens(channel_norm(x, norm.gain, norm.bias))
-    q = matmul(tokens, params.w_q)
-    e = Tensor(np.asarray(text_emb, dtype=x.dtype)[None, :])
-    k = matmul(e, params.w_k)
-    v = matmul(e, params.w_v)
-    out = matmul(sdpa(q, k, v), params.w_o)
+    q = matmul(tokens, params.w_q).reshape(b, n // b * h * w, c)  # per ring
+    k = matmul(e, params.w_k).reshape(b, 1, c)
+    v = matmul(e, params.w_v).reshape(b, 1, c)
+    out = matmul(sdpa(q, k, v).reshape(n, h * w, c), params.w_o)
     return _to_maps(out, h, w)
 
 
@@ -445,16 +452,31 @@ class MvDenoiser:
     def denoise(self, z_t, t, text_emb, mode_2d=False, camera_shift=0):
         """Predict the injected noise for a latent stack at step t.
 
-        mode_2d bypasses every cross-view operator, leaving the per-view
-        text-to-image path. camera_shift relabels which ring camera each
-        view slot is conditioned on (used by the equivariance property).
+        z_t is one ring [f, 3, H, W] with text_emb [text_dim], or B rings
+        [B, f, 3, H, W] with one embedding per ring, [B, text_dim]; the
+        output has the shape of z_t. Rings share t and are denoised
+        independently. mode_2d bypasses every cross-view operator, leaving
+        the per-view text-to-image path. camera_shift relabels which ring
+        camera each view slot is conditioned on (used by the equivariance
+        property).
         """
         cfg = self.config
         x = z_t if isinstance(z_t, Tensor) else Tensor(np.asarray(z_t))
-        if x.shape != (cfg.f, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w):
+        view = (cfg.f, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w)
+        if x.ndim not in (4, 5) or x.shape[-4:] != view:
             raise ValueError(f"latent stack shape {x.shape} does not match "
-                             f"config {(cfg.f, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w)}")
+                             f"config {view} or [B, *{view}]")
+        b = x.shape[0] if x.ndim == 5 else 1
+        e = np.asarray(text_emb)
+        if e.ndim != x.ndim - 3 or (e.ndim == 2 and e.shape[0] != b):
+            raise ValueError(f"text embedding shape {e.shape} does not fit "
+                             f"latent stack shape {x.shape}")
+        out_shape = x.shape
+        if x.ndim == 5:
+            x = x.reshape(b * cfg.f, *view[1:])
         emb = self._embeddings(t, camera_shift)
+        if b > 1:
+            emb = concat([emb] * b, axis=0)                       # [B*f, C]
         x = conv3x3(x, self.stem.w, self.stem.b)
         for blk in self.blocks:
             x = res_block(x, emb, blk.res)
@@ -476,7 +498,8 @@ class MvDenoiser:
                     scores = score_map(ns, text_emb, blk.smap)
                     x = x + air_attention(ns, scores, self.air_cfg, blk.air).data
         x = channel_norm(x, self.head_norm.gain, self.head_norm.bias).silu()
-        return conv3x3(x, self.head.w, self.head.b)
+        out = conv3x3(x, self.head.w, self.head.b)
+        return out.reshape(out_shape) if len(out_shape) == 5 else out
 
 
 # -- training -----------------------------------------------------------------------
@@ -586,21 +609,27 @@ def ddim_step(z, t_from, t_to, eps_hat, sched: NoiseSchedule):
 
 def ddim_sample(model: MvDenoiser, text_emb, null_emb, steps=50, guidance=7.5,
                 seed=0, z_init=None):
-    """Classifier-free-guided DDIM; bitwise deterministic given the seed."""
+    """Classifier-free-guided DDIM; bitwise deterministic given the seed.
+
+    Each step is one no-grad denoise call. With guidance != 1 it denoises
+    the latents twice over, as a batch of two rings conditioned on
+    (text, null); guidance 1 needs the conditional branch only.
+    """
     cfg = model.config
     sched = model.sched
     shape = (cfg.f, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w)
     z = np.random.default_rng(seed).standard_normal(shape) if z_init is None \
         else np.asarray(z_init, dtype=np.float64)
     ts = ddim_timesteps(sched.T, steps)
-    for t_from, t_to in zip(ts[:-1], ts[1:]):
-        eps_c = model.denoise(z, int(t_from), text_emb).data
-        if guidance == 1.0:
-            eps_hat = eps_c
-        else:
-            eps_u = model.denoise(z, int(t_from), null_emb).data
-            eps_hat = eps_u + guidance * (eps_c - eps_u)
-        z = ddim_step(z, int(t_from), int(t_to), eps_hat, sched)
+    pair = np.stack([np.asarray(text_emb), np.asarray(null_emb)])
+    with no_grad():
+        for t_from, t_to in zip(ts[:-1], ts[1:]):
+            if guidance == 1.0:
+                eps_hat = model.denoise(z, int(t_from), text_emb).data
+            else:
+                eps_c, eps_u = model.denoise(np.stack([z, z]), int(t_from), pair).data
+                eps_hat = eps_u + guidance * (eps_c - eps_u)
+            z = ddim_step(z, int(t_from), int(t_to), eps_hat, sched)
     return z
 
 
@@ -639,7 +668,13 @@ def load_checkpoint(path):
         raise CheckpointError(f"missing checkpoint manifest {mpath}") from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"unparsable checkpoint manifest: {exc}") from exc
-    config = ModelConfig(**manifest["config"])
+    saved = manifest.get("config") if isinstance(manifest, dict) else None
+    if not isinstance(saved, dict):
+        raise CheckpointError(f"checkpoint manifest {mpath} has no config object")
+    try:
+        config = ModelConfig(**saved)
+    except TypeError as exc:
+        raise CheckpointError(f"checkpoint config does not fit ModelConfig: {exc}") from exc
     model = MvDenoiser(config)
     params = model.named_params()
     listed = manifest.get("param_names", [])

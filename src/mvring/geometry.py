@@ -55,7 +55,11 @@ class ViewRing:
 
 @dataclass
 class LatentStack:
-    """Per-view latent feature maps [f, C, H, W] plus the camera ring."""
+    """Per-view latent feature maps plus the camera ring.
+
+    `data` is [B*f, C, H, W]: B rings of f views each, ring-major (views
+    b*f .. b*f+f-1 form ring b). A single ring is the B=1 case.
+    """
 
     data: Tensor
     ring: ViewRing
@@ -63,13 +67,17 @@ class LatentStack:
     def __post_init__(self):
         if self.data.ndim != 4:
             raise ValueError(f"latent stack must be 4-d, got {self.data.shape}")
-        if self.data.shape[0] != self.ring.f:
-            raise ValueError(
-                f"stack has {self.data.shape[0]} views but ring has f={self.ring.f}")
+        if not self.data.shape[0] or self.data.shape[0] % self.ring.f:
+            raise ValueError(f"stack has {self.data.shape[0]} views, not a "
+                             f"whole number of rings of f={self.ring.f}")
 
     @property
     def f(self):
-        return self.data.shape[0]
+        return self.ring.f
+
+    @property
+    def rings(self):
+        return self.data.shape[0] // self.ring.f
 
     @property
     def channels(self):

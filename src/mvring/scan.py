@@ -3,19 +3,21 @@
 Spatial tokens are serialized by an outward spiral from the image centre so
 that object content sits in a short sequence window, views are stacked into
 contiguous blocks, and the whole sequence is scanned in both view orders by
-a diagonal selective SSM. The recurrence itself runs in the compiled kernel
+a diagonal selective SSM. Both orders of every ring in a stack run side by
+side as one recurrence. The recurrence itself runs in the compiled kernel
 when built (see _kernel.backend_name).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ._kernel import backend_name
 from .geometry import LatentStack
-from .tensor import Tensor, linear_recurrence, matmul, take_rows
+from .tensor import Tensor, concat, linear_recurrence, matmul, take_rows
 
 __all__ = [
     "ScanOrder",
@@ -216,41 +218,70 @@ def selective_scan_sequential(x, params: SsmParams):
 def selective_scan(x: Tensor, params: SsmParams, chunk=64):
     """Production scan: vectorized coefficients, kernel recurrence, tape-aware.
 
+    `x` is one sequence [L, D], or M independent sequences side by side,
+    [L, M, D]; all of them advance in a single recurrence of width M*D*N.
     Matches selective_scan_sequential exactly up to vectorization rounding;
     output is bit-identical for every chunk size.
     """
-    L, D = x.shape
+    L, D = x.shape[0], x.shape[-1]
     N = params.d_state
+    rows = x.reshape(-1, D)                                   # [L*M, D]
+    n = rows.shape[0]
     a = -params.a_log.exp()                                   # [D, N]
-    delta = (matmul(x, params.w_delta) + params.b_delta).softplus()   # [L, D]
-    b = matmul(x, params.w_b) + params.b_b                    # [L, N]
-    c = matmul(x, params.w_c) + params.b_c                    # [L, N]
-    abar = (delta.reshape(L, D, 1) * a.reshape(1, D, N)).exp()        # [L, D, N]
-    u = (delta * x).reshape(L, D, 1) * b.reshape(L, 1, N)             # [L, D, N]
-    h = linear_recurrence(abar, u, chunk=chunk)                       # [L, D, N]
-    return (h * c.reshape(L, 1, N)).sum(axis=2)                       # [L, D]
+    delta = (matmul(rows, params.w_delta) + params.b_delta).softplus()  # [L*M, D]
+    b = matmul(rows, params.w_b) + params.b_b                 # [L*M, N]
+    c = matmul(rows, params.w_c) + params.b_c                 # [L*M, N]
+    abar = (delta.reshape(n, D, 1) * a.reshape(1, D, N)).exp()        # [L*M, D, N]
+    u = (delta * rows).reshape(n, D, 1) * b.reshape(n, 1, N)          # [L*M, D, N]
+    h = linear_recurrence(abar.reshape(L, n // L * D * N),
+                          u.reshape(L, n // L * D * N), chunk=chunk)
+    y = (h.reshape(n, D, N) * c.reshape(n, 1, N)).sum(axis=2)         # [L*M, D]
+    return y.reshape(x.shape)
+
+
+@lru_cache(maxsize=32)
+def _glance_plan(b, f, H, W, strategy):
+    """Row permutation that lays every scan pass of B rings side by side.
+
+    The source is P copies of the [B*L, C] ring tokens (P = 2 passes, or 1
+    for row-major), copy p feeding pass p. Gathering row gather[s*M + m]
+    for M = P*B puts slot s of sequence m = p*B + r (pass p of ring r) at
+    [s, m] of an [L, M, C] array; gathering the scan output by `scatter`
+    returns every pass to token order.
+    """
+    order = build_scan_order(f, H, W, strategy)
+    orders = (order,) if strategy == "row-major" else (order, order.reversed_views())
+    L = order.perm.size
+    rings = np.arange(b, dtype=np.int64) * L
+    gather = np.stack([p * b * L + rings[:, None] + o.perm[None, :]
+                       for p, o in enumerate(orders)])          # [P, B, L]
+    gather = gather.reshape(-1, L).T.reshape(-1)
+    scatter = np.empty_like(gather)
+    scatter[gather] = np.arange(gather.size)
+    return len(orders), gather, scatter
 
 
 def rapid_glance(stack: LatentStack, params: SsmParams,
                  strategy="spiral-bidirectional", chunk=64):
-    """Bidirectional selective scan over the whole view ring, plus residual.
+    """Bidirectional selective scan over each view ring, plus residual.
 
-    Pass one scans view blocks in ascending order, pass two in descending
-    order (spatial order within a view is unchanged); the output is the mean
-    of both passes added back onto the input.
+    Pass one scans a ring's view blocks in ascending order, pass two in
+    descending order (spatial order within a view is unchanged); the output
+    is the mean of both passes added back onto the input. Both passes of
+    every ring in the stack run as one selective scan over [L, 2B, C].
     """
-    f, C, H, W = stack.data.shape
+    n, C, H, W = stack.data.shape
     if params.d_model != C:
         raise ValueError(f"ssm channel dim {params.d_model} != stack channels {C}")
-    order = build_scan_order(f, H, W, strategy)
-    y_fwd = selective_scan(sbscan_permute(stack, order), params, chunk)
-    maps_fwd = sbscan_restore(y_fwd, order, stack.data.shape)
-    if strategy == "row-major":
-        out = maps_fwd + stack.data
-    else:
-        y_bwd = selective_scan(sbscan_permute(stack, order, reverse_views=True),
-                               params, chunk)
-        maps_bwd = sbscan_restore(y_bwd, order, stack.data.shape,
-                                  reverse_views=True)
-        out = (maps_fwd + maps_bwd) * 0.5 + stack.data
-    return stack.with_data(out)
+    b, L = stack.rings, stack.f * H * W
+    passes, gather, scatter = _glance_plan(b, stack.f, H, W, strategy)
+    tokens = stack.data.transpose((0, 2, 3, 1)).reshape(b * L, C)
+    src = concat([tokens] * passes, axis=0) if passes > 1 else tokens
+    seq = take_rows(src, gather, inverse=scatter).reshape(L, passes * b, C)
+    y = selective_scan(seq, params, chunk)
+    back = take_rows(y.reshape(L * passes * b, C), scatter, inverse=gather)
+    if passes > 1:
+        back = back.reshape(passes, b * L, C)
+        back = (back[0] + back[1]) * 0.5
+    maps = back.reshape(n, H, W, C).transpose((0, 3, 1, 2))
+    return stack.with_data(maps + stack.data)

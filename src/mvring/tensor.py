@@ -6,12 +6,14 @@ exp/log/sqrt/sigmoid/softplus, softmax, layer norm, reductions,
 reshape/transpose/concat, basic slicing, row gather, zero padding, 3x3
 unfolding, average pooling, bilinear upsampling and a first-order linear
 recurrence. `backward` replays the graph in a fixed topological order, so
-repeated backward passes are bit-identical.
+repeated backward passes are bit-identical. Inside `no_grad()` no graph is
+recorded: results hold no parents and no backward closure.
 """
 
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +21,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
+    "no_grad",
     "GradCheckReport",
     "MvtError",
     "concat",
@@ -37,6 +40,32 @@ __all__ = [
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside: derived tensors neither require grad nor keep
+    parents. Leaves created with requires_grad=True still require it. The
+    previous state is restored on exit, also when an exception leaves."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
+def _sigmoid(x):
+    """Overflow-free logistic function of an array: 1/(1+e) for x >= 0 and
+    e/(1+e) below, with e = exp(-|x|). Divides in place to keep the peak
+    number of temporaries down."""
+    flat = np.asarray(x).reshape(-1)  # 0-d input would make scalars, not arrays
+    e = np.exp(-np.abs(flat))
+    d = 1.0 + e
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=d)
+    return np.where(flat >= 0, d, e).reshape(np.shape(x))
 
 
 def _unbroadcast(grad, shape):
@@ -90,7 +119,8 @@ class Tensor:
             self.data = np.asarray(data, dtype=dtype)
         self.grad = None
         self._grad_borrowed = False
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+        self.requires_grad = requires_grad or (
+            _grad_enabled and any(p.requires_grad for p in _parents))
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
 
@@ -227,11 +257,15 @@ class Tensor:
 
     # -- elementwise nonlinearities -------------------------------------------
 
+    # backward closures capture output arrays, never `out` itself: a closure
+    # holding its own node would make every graph a reference cycle
+
     def exp(self):
-        out = Tensor(np.exp(self.data), _parents=(self,))
+        y = np.exp(self.data)
+        out = Tensor(y, _parents=(self,))
 
         def backward(g):
-            _acc(self, g * out.data)
+            _acc(self, g * y)
 
         out._backward = backward if out.requires_grad else None
         return out
@@ -246,25 +280,21 @@ class Tensor:
         return out
 
     def sqrt(self):
-        out = Tensor(np.sqrt(self.data), _parents=(self,))
+        y = np.sqrt(self.data)
+        out = Tensor(y, _parents=(self,))
 
         def backward(g):
-            _acc(self, g * (0.5 / out.data))
+            _acc(self, g * (0.5 / y))
 
         out._backward = backward if out.requires_grad else None
         return out
 
     def sigmoid(self):
-        x = self.data
-        y = np.empty_like(x)
-        pos = x >= 0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
+        y = _sigmoid(self.data)
         out = Tensor(y, _parents=(self,))
 
         def backward(g):
-            _acc(self, g * (out.data * (1.0 - out.data)))
+            _acc(self, g * (y * (1.0 - y)))
 
         out._backward = backward if out.requires_grad else None
         return out
@@ -274,23 +304,14 @@ class Tensor:
         out = Tensor(np.logaddexp(0.0, x), _parents=(self,))
 
         def backward(g):
-            pos = x >= 0
-            s = np.empty_like(x)
-            s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-            ex = np.exp(x[~pos])
-            s[~pos] = ex / (1.0 + ex)
-            _acc(self, g * s)
+            _acc(self, g * _sigmoid(x))
 
         out._backward = backward if out.requires_grad else None
         return out
 
     def silu(self):
         x = self.data
-        pos = x >= 0
-        sig = np.empty_like(x)
-        sig[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        sig[~pos] = ex / (1.0 + ex)
+        sig = _sigmoid(x)
         out = Tensor(x * sig, _parents=(self,))
 
         def backward(g):

@@ -282,6 +282,25 @@ class TestAirAttention:
         want = to_maps(np.stack(outs), 4, 4)
         assert np.max(np.abs(got - want)) <= 1e-10
 
+    def test_multi_head_matches_per_head_oracle(self, rng):
+        ring = ViewRing(f=3, W=2, H=2)
+        p = random_params(14, 8, n_heads=2)
+        z = rng.standard_normal((3, 8, 2, 2))
+        got = air_attention(LatentStack(Tensor(z), ring),
+                            Tensor(np.ones((3, 1, 2, 2))), AirConfig(1, 1),
+                            p).data.data
+        toks = to_tokens(z)
+        k = (toks @ p.w_k.data).reshape(-1, 8)
+        v = (toks @ p.w_v.data).reshape(-1, 8)
+        outs = []
+        for i in range(3):
+            q = toks[i] @ p.w_q.data
+            heads = [np_sdpa(q[:, h * 4:(h + 1) * 4], k[:, h * 4:(h + 1) * 4],
+                             v[:, h * 4:(h + 1) * 4]) for h in (0, 1)]
+            outs.append(np.concatenate(heads, axis=1) @ p.w_o.data)
+        want = to_maps(np.stack(outs), 2, 2)
+        assert np.max(np.abs(got - want)) <= 1e-10
+
     def test_zero_scores_zero_output(self, rng):
         ring = ViewRing(f=3, W=4, H=4)
         p = random_params(14, 4)
@@ -374,3 +393,61 @@ class TestOperatorGradients:
         params = [x, p_aa.w_q, p_aa.w_o, p_dr.w_k, p_air.w_v, mapper.w1]
         rep = grad_check(f, params, eps=1e-6, tol=1e-4, max_entries=10)
         assert rep.passed, rep
+
+    def test_two_ring_chain_gradients(self, rng):
+        ring = ViewRing(f=2, W=4, H=4)
+        tape = Tape(19)
+        p_aa = AttentionParams.init(tape, "aa", 4, out_scale=1.0)
+        p_dr = AttentionParams.init(tape, "dr", 4, out_scale=1.0)
+        p_air = AttentionParams.init(tape, "air", 4, out_scale=1.0)
+        mapper = ScoreMapper.init(tape, "sm", 4, 3)
+        text = rng.standard_normal((2, 3))
+        x = Tensor(rng.standard_normal((4, 4, 4, 4)) * 0.5, requires_grad=True)
+
+        def f():
+            st = LatentStack(x, ring)
+            a = adjacent_attention(st, p_aa)
+            b = trajectory_attention(a, ring, p_dr)
+            c = air_attention(b, score_map(b, text, mapper), AirConfig(2, 4), p_air)
+            return (c.data * c.data).sum()
+
+        params = [x, p_aa.w_k, p_dr.w_v, p_air.w_q, mapper.w1]
+        rep = grad_check(f, params, eps=1e-6, tol=1e-4, max_entries=10)
+        assert rep.passed, rep
+
+
+class TestRingBatches:
+    """A stack of B rings [B*f, C, H, W] mixes views within each ring only."""
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_operators_match_single_ring_calls(self, rng, n_heads):
+        ring = ViewRing(f=3, W=4, H=4)
+        p = random_params(20, 4, n_heads=n_heads)
+        mapper = ScoreMapper.init(Tape(21), "sm", 4, 3)
+        z = rng.standard_normal((6, 4, 4, 4))
+        text = rng.standard_normal((2, 3))
+
+        def ops(x, e):
+            st = LatentStack(Tensor(x), ring)
+            s = score_map(st, e, mapper)
+            return [adjacent_attention(st, p).data.data,
+                    trajectory_attention(st, ring, p).data.data,
+                    s.data,
+                    air_attention(st, s, AirConfig(2, 4), p).data.data]
+
+        both = ops(z, text)
+        for b in range(2):
+            for got, want in zip(both, ops(z[3 * b:3 * b + 3], text[b])):
+                assert np.max(np.abs(got[3 * b:3 * b + 3] - want)) <= 1e-12
+
+    def test_partial_ring_rejected(self, rng):
+        with pytest.raises(ValueError, match="whole number of rings"):
+            LatentStack(Tensor(rng.standard_normal((5, 4, 2, 2))),
+                        ViewRing(f=3, W=2, H=2))
+
+    def test_score_map_needs_one_embedding_per_ring(self, rng):
+        ring = ViewRing(f=2, W=2, H=2)
+        mapper = ScoreMapper.init(Tape(22), "sm", 4, 3)
+        st = LatentStack(Tensor(rng.standard_normal((4, 4, 2, 2))), ring)
+        with pytest.raises(ValueError, match="per ring"):
+            score_map(st, rng.standard_normal(3), mapper)

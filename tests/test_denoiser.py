@@ -1,5 +1,7 @@
 """Noise schedule, conditioning, the denoiser stack, training and DDIM."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from mvring.denoiser import (Adam, CheckpointError, ModelConfig, MvDenoiser,
                              encode_images, latent_ring, load_checkpoint,
                              prompt_template, save_checkpoint, train_loop,
                              training_step)
-from mvring.tensor import Tensor
+from mvring.tensor import Tensor, no_grad
 
 
 def mini_config(**over):
@@ -197,6 +199,77 @@ class TestDenoise:
             mini_model.denoise(np.zeros((2, 3, 8, 8)), 10, text8)
 
 
+def _jittered(config, seed):
+    """A model whose every parameter, the zero-initialised head included, is
+    perturbed, so each operator's output reaches the prediction."""
+    model = MvDenoiser(config, seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in model.params():
+        p.data = p.data + rng.standard_normal(p.data.shape) * 0.1
+    return model
+
+
+def _graph_nodes(out):
+    seen, stack, count = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._backward is not None
+            stack.extend(node._parents)
+    return count
+
+
+class TestBatchedDenoise:
+    @pytest.mark.parametrize("over, kw", [
+        ({}, {}),
+        ({}, {"mode_2d": True}),
+        ({"n_heads": 2}, {}),
+        ({"scan_strategy": "row-major"}, {}),
+    ], ids=["full", "mode_2d", "two_heads", "row_major"])
+    def test_two_rings_match_single_ring_calls(self, over, kw, rng):
+        model = _jittered(mini_config(f=3, **over), seed=21)
+        z = rng.standard_normal((2, 3, 3, 4, 4))
+        emb = rng.standard_normal((2, 8))
+        both = model.denoise(z, 321, emb, **kw).data
+        assert both.shape == z.shape
+        for b in range(2):
+            one = model.denoise(z[b], 321, emb[b], **kw).data
+            assert np.max(np.abs(one)) > 1e-3
+            assert np.max(np.abs(both[b] - one)) <= 1e-12
+
+    def test_embedding_must_fit_the_batch(self, mini_model, text8):
+        z = np.zeros((2, 2, 3, 4, 4))
+        with pytest.raises(ValueError, match="text embedding"):
+            mini_model.denoise(z, 10, text8)
+        with pytest.raises(ValueError, match="text embedding"):
+            mini_model.denoise(z, 10, np.stack([text8] * 3))
+        with pytest.raises(ValueError, match="text embedding"):
+            mini_model.denoise(z[0], 10, np.stack([text8] * 2))
+
+    def test_no_grad_builds_no_graph(self, text8, rng):
+        model = _jittered(mini_config(), seed=22)
+        z = rng.standard_normal((2, 3, 4, 4))
+        assert _graph_nodes(model.denoise(z, 100, text8)) > 0
+        with no_grad():
+            out = model.denoise(z, 100, text8)
+        assert _graph_nodes(out) == 0 and not out.requires_grad
+
+    def test_graph_freed_by_refcount(self, text8, rng):
+        model = _jittered(mini_config(), seed=23)
+        z = Tensor(rng.standard_normal((2, 3, 4, 4)))
+        eps = Tensor(rng.standard_normal((2, 3, 4, 4)))
+
+        def step():
+            diff = model.denoise(z, 200, text8) - eps
+            (diff * diff).mean().backward()
+
+        step()  # fills the lazy per-shape caches
+        gc.collect()
+        step()
+        assert gc.collect() == 0
+
+
 def _overfit_briefly(model, text, steps=5, f=None):
     rng = np.random.default_rng(0)
     f = f or model.config.f
@@ -274,6 +347,22 @@ class TestDdim:
         ddim_sample(model, text8, np.zeros_like(text8), steps=3, guidance=1.0,
                     seed=0)
         assert all(calls) and len(calls) == 3
+
+    def test_cfg_matches_two_call_loop(self, rng):
+        model = _jittered(mini_config(f=3), seed=24)
+        text, null = rng.standard_normal(8), rng.standard_normal(8)
+        z_init = rng.standard_normal((3, 3, 4, 4))
+        got = ddim_sample(model, text, null, steps=6, guidance=7.5,
+                          z_init=z_init)
+        z = z_init
+        ts = ddim_timesteps(model.sched.T, 6)
+        for t_from, t_to in zip(ts[:-1], ts[1:]):
+            eps_c = model.denoise(z, int(t_from), text).data
+            eps_u = model.denoise(z, int(t_from), null).data
+            z = ddim_step(z, int(t_from), int(t_to),
+                          eps_u + 7.5 * (eps_c - eps_u), model.sched)
+        assert np.max(np.abs(got - z_init)) > 1e-3
+        assert np.max(np.abs(got - z)) <= 1e-10
 
     def test_guidance_zero_is_unconditional(self, text8):
         model = MvDenoiser(mini_config(), seed=12)

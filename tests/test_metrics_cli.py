@@ -167,6 +167,30 @@ class TestCliPipeline:
         assert main(["train", "--dataset", str(dataset_dir),
                      "--out", str(tmp_path / "ck"), "--stack", "bogus"]) == 2
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_train_without_steps_is_config_error(self, dataset_dir, tmp_path,
+                                                 capsys, steps):
+        assert main(["train", "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "ck"), "--steps", steps]) == 2
+        assert "--steps must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "ck").exists()
+
+    @pytest.mark.parametrize("edit", ["unknown_key", "no_config"])
+    def test_bad_checkpoint_config_is_io_error(self, tmp_path, capsys, edit):
+        from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
+        ck = tmp_path / "ck"
+        save_checkpoint(MvDenoiser(ModelConfig(f=2, latent_h=4, latent_w=4,
+                                               channels=8, text_dim=8)), ck)
+        manifest = json.loads((ck / "checkpoint.json").read_text())
+        if edit == "unknown_key":
+            manifest["config"]["warp_factor"] = 9
+        else:
+            del manifest["config"]
+        (ck / "checkpoint.json").write_text(json.dumps(manifest))
+        assert main(["sample", "--checkpoint", str(ck), "--out",
+                     str(tmp_path / "s"), "--prompt", "a cube"]) == 3
+        assert "config" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         assert main(["sample", "--checkpoint", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "s")]) == 3

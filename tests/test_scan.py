@@ -260,6 +260,38 @@ class TestRapidGlance:
         assert np.max(np.abs(got - want)) < 1e-14
 
 
+    @pytest.mark.parametrize("strategy", ["spiral-bidirectional", "row-major"])
+    def test_rings_scanned_independently(self, rng, strategy):
+        p = make_params(Tape(10), 4, 2)
+        ring = ViewRing(f=3, W=4, H=2)
+        z = rng.standard_normal((9, 4, 2, 4))  # three rings
+        got = rapid_glance(LatentStack(Tensor(z), ring), p, strategy).data.data
+        for b in range(3):
+            one = rapid_glance(LatentStack(Tensor(z[3 * b:3 * b + 3]), ring), p,
+                               strategy).data.data
+            assert np.max(np.abs(got[3 * b:3 * b + 3] - one)) <= 1e-12
+
+    def test_two_ring_gradients(self, rng):
+        p = make_params(Tape(11), 3, 2)
+        ring = ViewRing(f=2, W=2, H=2)
+        x = Tensor(rng.standard_normal((4, 3, 2, 2)), requires_grad=True)
+
+        def f():
+            y = rapid_glance(LatentStack(x, ring), p).data
+            return (y * y).sum()
+
+        rep = grad_check(f, [x] + p.tensors(), eps=1e-6, tol=1e-4)
+        assert rep.passed, rep
+
+    def test_selective_scan_width_axis(self, rng):
+        p = make_params(Tape(12), 4, 3)
+        x = rng.standard_normal((7, 3, 4))
+        got = selective_scan(Tensor(x), p).data
+        for m in range(3):
+            want = selective_scan_sequential(x[:, m], p)
+            assert np.max(np.abs(got[:, m] - want)) <= 1e-12
+
+
 class TestKernelBackends:
     def test_python_fallback_matches_active_backend(self, rng):
         a = rng.uniform(0.0, 1.0, (40, 6))

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvring.tensor import (MvtError, Tape, Tensor, avg_pool2d,
+from mvring.tensor import (MvtError, Tape, Tensor, _sigmoid, avg_pool2d,
                            bilinear_upsample2d, concat, grad_check, layer_norm,
-                           linear_recurrence, load_mvt, matmul, pad2d,
+                           linear_recurrence, load_mvt, matmul, no_grad, pad2d,
                            save_mvt, softmax, take_rows, unfold3x3)
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -232,6 +232,73 @@ class TestAutodiff:
         with np.errstate(invalid="ignore", divide="ignore"), \
                 pytest.raises(ValueError, match="finite"):
             grad_check(lambda: x.log().log().sum() * np.nan, [x])
+
+
+def masked_sigmoid(x):
+    """The boolean-mask formulation the shared helper replaced."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+class TestStableSigmoid:
+    EDGES = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 1.0, -1.0,
+                      36.7, -36.7, 745.2, -745.2, np.inf, -np.inf, np.nan])
+
+    def test_bitwise_equal_to_masked_form(self, rng):
+        x = np.concatenate([self.EDGES, rng.standard_normal(500) * 30.0])
+        with np.errstate(over="ignore"):
+            want = masked_sigmoid(x)
+        assert np.array_equal(_sigmoid(x), want, equal_nan=True)
+
+    def test_users_share_the_helper(self, rng):
+        x = rng.standard_normal((4, 5)) * 10.0
+        x.flat[:4] = (0.0, -0.0, 800.0, -800.0)
+        s = masked_sigmoid(x)
+        assert np.array_equal(Tensor(x).sigmoid().data, s)
+        assert np.array_equal(Tensor(x).silu().data, x * s)
+        t = Tensor(x, requires_grad=True)
+        t.softplus().sum().backward()
+        assert np.array_equal(t.grad, s)
+
+    def test_zero_dim_input(self):
+        t = Tensor(np.float64(-0.3), requires_grad=True)
+        assert t.sigmoid().data == masked_sigmoid(np.array([-0.3]))[0]
+        t.softplus().backward()
+        assert t.grad == masked_sigmoid(np.array([-0.3]))[0]
+
+
+class TestNoGrad:
+    def test_records_no_graph(self):
+        x = Tensor(np.array([0.5, -2.0]), requires_grad=True)
+        with no_grad():
+            y = (x * x).exp().sqrt().sigmoid() + x
+            leaf = Tensor(np.ones(2), requires_grad=True)
+        assert not y.requires_grad
+        assert y._parents == () and y._backward is None
+        assert leaf.requires_grad  # explicit leaves keep the flag
+        z = x * x
+        assert z.requires_grad and z._parents == (x, x)
+
+    def test_values_match_graph_mode(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        want = softmax(matmul(x, x.swap_last2()).silu(), axis=-1).data
+        with no_grad():
+            got = softmax(matmul(x, x.swap_last2()).silu(), axis=-1).data
+        assert np.array_equal(got, want)
+
+    def test_state_restored_after_exception(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(KeyError):
+            with no_grad():
+                with no_grad():
+                    pass
+                assert not (x * x).requires_grad
+                raise KeyError("boom")
+        assert (x * x).requires_grad
 
 
 class TestTape:
