@@ -1,10 +1,12 @@
 """Backend selection for the linear-recurrence hot loop.
 
 The compiled Cython kernel is used when importable; otherwise a numpy loop
-with the same per-element operation order runs. Both backends, and every
-chunk size, produce bit-identical results: chunking only batches the work,
-the per-element multiply/add order never changes. Set
-MVRING_SCAN_BACKEND=python|compiled to force a backend.
+runs, one step per row of the sequence, writing h[l] = a[l] * h[l-1] + u[l]
+in place into the output row (a multiply, then an add). Both backends, and
+every chunk size, produce bit-identical results: chunking only batches the
+work, the per-element multiply/add order never changes. Callers look
+`linrec_array` up on this module at call time, so a wrapper set here sees
+every call. Set MVRING_SCAN_BACKEND=python|compiled to force a backend.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ def backend_name():
 
 def _linrec_chunk_python(a, u, h0, out):
     h = h0
-    for l in range(u.shape[0]):
-        h = a[l] * h + u[l]
-        out[l] = h
+    for a_l, u_l, o_l in zip(a, u, out):
+        np.multiply(a_l, h, out=o_l)
+        np.add(o_l, u_l, out=o_l)
+        h = o_l
 
 
 def linrec_python(a, u):

@@ -215,7 +215,13 @@ def cmd_sample(args):
         model, manifest = dn.load_checkpoint(args.checkpoint)
     except dn.CheckpointError as exc:
         raise CliError(str(exc), EXIT_IO)
-    prompt = args.prompt or manifest["extra"].get("prompt")
+    prompt = args.prompt
+    if not prompt:
+        extra = manifest.get("extra")
+        if not isinstance(extra, dict):
+            raise CliError(f"checkpoint manifest in {args.checkpoint} has no extra "
+                           "object to read the prompt from; pass --prompt", EXIT_IO)
+        prompt = extra.get("prompt")
     if not prompt:
         raise CliError("checkpoint carries no prompt; pass --prompt", EXIT_CONFIG)
     batch = {"prompt": prompt}

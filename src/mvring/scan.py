@@ -4,8 +4,10 @@ Spatial tokens are serialized by an outward spiral from the image centre so
 that object content sits in a short sequence window, views are stacked into
 contiguous blocks, and the whole sequence is scanned in both view orders by
 a diagonal selective SSM. Both orders of every ring in a stack run side by
-side as one recurrence. The recurrence itself runs in the compiled kernel
-when built (see _kernel.backend_name).
+side as one recurrence. After the token projections, the scan is a single
+autodiff node, tensor.selective_recurrence, whose state is laid out
+[L, M, N, D] with the channels innermost; its recurrence runs in the
+compiled kernel when built (see _kernel.backend_name).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from ._kernel import backend_name
 from .geometry import LatentStack
-from .tensor import Tensor, concat, linear_recurrence, matmul, take_rows
+from .tensor import Tensor, concat, matmul, selective_recurrence, take_rows
 
 __all__ = [
     "ScanOrder",
@@ -219,23 +221,23 @@ def selective_scan(x: Tensor, params: SsmParams, chunk=64):
     """Production scan: vectorized coefficients, kernel recurrence, tape-aware.
 
     `x` is one sequence [L, D], or M independent sequences side by side,
-    [L, M, D]; all of them advance in a single recurrence of width M*D*N.
-    Matches selective_scan_sequential exactly up to vectorization rounding;
-    output is bit-identical for every chunk size.
+    [L, M, D]; all of them advance in a single recurrence of width M*N*D.
+    The token projections (delta, B, C) are matmul nodes; decay, input,
+    recurrence and readout are one fused node, tensor.selective_recurrence,
+    holding the state as [L, M, N, D]. Matches selective_scan_sequential
+    up to vectorization rounding. Output and gradients are bit-identical for
+    every chunk size: chunking splits the kernel's work along L but never
+    changes a per-element operation.
     """
-    L, D = x.shape[0], x.shape[-1]
-    N = params.d_state
+    D = x.shape[-1]
     rows = x.reshape(-1, D)                                   # [L*M, D]
-    n = rows.shape[0]
     a = -params.a_log.exp()                                   # [D, N]
     delta = (matmul(rows, params.w_delta) + params.b_delta).softplus()  # [L*M, D]
     b = matmul(rows, params.w_b) + params.b_b                 # [L*M, N]
     c = matmul(rows, params.w_c) + params.b_c                 # [L*M, N]
-    abar = (delta.reshape(n, D, 1) * a.reshape(1, D, N)).exp()        # [L*M, D, N]
-    u = (delta * rows).reshape(n, D, 1) * b.reshape(n, 1, N)          # [L*M, D, N]
-    h = linear_recurrence(abar.reshape(L, n // L * D * N),
-                          u.reshape(L, n // L * D * N), chunk=chunk)
-    y = (h.reshape(n, D, N) * c.reshape(n, 1, N)).sum(axis=2)         # [L*M, D]
+    L, M = x.shape[0], rows.shape[0] // x.shape[0]
+    y = selective_recurrence(delta.reshape(L, M, D), (delta * rows).reshape(L, M, D),
+                             b.reshape(L, M, -1), c.reshape(L, M, -1), a, chunk)
     return y.reshape(x.shape)
 
 

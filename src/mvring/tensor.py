@@ -4,19 +4,25 @@ Tensors wrap numpy arrays (float64 by default, float32 supported) and record
 a dynamic graph over a closed primitive set: matmul, elementwise arithmetic,
 exp/log/sqrt/sigmoid/softplus, softmax, layer norm, reductions,
 reshape/transpose/concat, basic slicing, row gather, zero padding, 3x3
-unfolding, average pooling, bilinear upsampling and a first-order linear
-recurrence. `backward` replays the graph in a fixed topological order, so
-repeated backward passes are bit-identical. Inside `no_grad()` no graph is
-recorded: results hold no parents and no backward closure.
+unfolding, average pooling, bilinear upsampling, a first-order linear
+recurrence, and the selective-SSM recurrence beneath the scan as one node
+with a hand-written backward. `backward` replays the graph in a fixed
+topological order, so repeated backward passes are bit-identical. Inside
+`no_grad()` no graph is recorded: results hold no parents and no backward
+closure.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import _kernel
 
 __all__ = [
     "Tensor",
@@ -34,6 +40,7 @@ __all__ = [
     "unfold3x3",
     "take_rows",
     "linear_recurrence",
+    "selective_recurrence",
     "grad_check",
     "save_mvt",
     "load_mvt",
@@ -583,16 +590,16 @@ def take_rows(x, idx, inverse=None, plan=None):
     cached `plan` from scatter_plan for a fast segment-sum scatter.
     """
     idx = np.asarray(idx)
-    out = Tensor(x.data[idx], _parents=(x,))
+    out = Tensor(np.take(x.data, idx, axis=0), _parents=(x,))
 
     def backward(g):
         if inverse is not None:
-            _acc(x, g[inverse])
+            _acc(x, np.take(g, inverse, axis=0))
         elif plan is not None:
             order, starts, uniq = plan
             tail = x.data.shape[1:]
             gflat = g.reshape(-1, int(np.prod(tail, dtype=np.int64)) or 1)
-            sums = np.add.reduceat(gflat[order], starts, axis=0)
+            sums = np.add.reduceat(np.take(gflat, order, axis=0), starts, axis=0)
             buf = _owned_grad(x)
             buf.reshape(buf.shape[0], -1)[uniq] += sums
         else:
@@ -602,28 +609,77 @@ def take_rows(x, idx, inverse=None, plan=None):
     return out
 
 
+def _reverse_recurrence(a, g, chunk):
+    """Adjoint of h[l] = a[l] * h[l-1] + u[l]: gh[l] = g[l] + a[l+1] * gh[l+1]."""
+    a_rev = np.concatenate([np.ones_like(a[:1]), a[:0:-1]], axis=0)
+    g_rev = np.ascontiguousarray(g[::-1])
+    return _kernel.linrec_array(a_rev, g_rev, chunk=chunk)[::-1]
+
+
 def linear_recurrence(a, u, chunk=None):
     """h[0] = u[0]; h[l] = a[l] * h[l-1] + u[l], elementwise over trailing dims.
 
-    The workhorse beneath the selective scan. Dispatches to the compiled
-    kernel when available; `chunk` batches the work without changing results.
+    Dispatches to the compiled kernel when available; `chunk` batches the
+    work without changing results.
     """
-    from ._kernel import linrec_array  # late import avoids a cycle
-
     if a.data.shape != u.data.shape:
         raise ValueError(f"recurrence shapes differ: {a.data.shape} vs {u.data.shape}")
-    h = linrec_array(a.data, u.data, chunk=chunk)
+    h = _kernel.linrec_array(a.data, u.data, chunk=chunk)
     out = Tensor(h, _parents=(a, u))
 
     def backward(g):
-        # reverse-time recurrence: gh[l] = g[l] + a[l+1] * gh[l+1]
-        a_rev = np.concatenate([np.ones_like(a.data[:1]), a.data[:0:-1]], axis=0)
-        gh = linrec_array(a_rev, g[::-1], chunk=chunk)[::-1]
+        gh = _reverse_recurrence(a.data, g, chunk)
         if u.requires_grad:
             _acc(u, gh)
         if a.requires_grad:
             h_prev = np.concatenate([np.zeros_like(h[:1]), h[:-1]], axis=0)
             _acc(a, gh * h_prev)
+
+    out._backward = backward if out.requires_grad else None
+    return out
+
+
+def selective_recurrence(delta, dx, b, c, a, chunk=None):
+    """Diagonal selective-SSM scan as one node: y[l] = sum_n h[l, n] * c[l, n].
+
+    h[l, n, d] = exp(delta[l, d] * a[d, n]) * h[l-1, n, d] + dx[l, d] * b[l, n],
+    h[-1] = 0, for M independent sequences side by side. `delta` and `dx` are
+    [L, M, D], `b` and `c` [L, M, N], `a` is [D, N]; the output is [L, M, D].
+    The state is held as [L, M, N, D], channels innermost, and advances in one
+    kernel call of width M*N*D; the sum over N runs in ascending n. The
+    backward pass is one reverse-time recurrence plus sums over N and D.
+    """
+    L, M, D = delta.data.shape
+    N = a.data.shape[1]
+    dl = delta.data.reshape(L, M, 1, D)
+    c4 = c.data.reshape(L, M, N, 1)
+    at = a.data.T                                             # [N, D]
+    abar = dl * at
+    np.exp(abar, out=abar)                                    # [L, M, N, D]
+    u = dx.data.reshape(L, M, 1, D) * b.data.reshape(L, M, N, 1)
+    h = _kernel.linrec_array(abar, u, chunk=chunk)
+    hc = np.multiply(h, c4, out=u)
+    y = hc[:, :, 0].copy()
+    for n in range(1, N):
+        y += hc[:, :, n]
+    out = Tensor(y, _parents=(delta, dx, b, c, a))
+
+    def backward(g):
+        if c.requires_grad:
+            _acc(c, np.einsum("lmnd,lmd->lmn", h, g))
+        gh = _reverse_recurrence(abar, g.reshape(L, M, 1, D) * c4, chunk)
+        if dx.requires_grad:
+            _acc(dx, np.einsum("lmnd,lmn->lmd", gh, b.data))
+        if b.requires_grad:
+            _acc(b, np.einsum("lmnd,lmd->lmn", gh, dx.data))
+        if delta.requires_grad or a.requires_grad:
+            gz = np.zeros_like(h)                              # d loss / d(delta*a)
+            np.multiply(gh[1:], h[:-1], out=gz[1:])
+            gz *= abar
+            if delta.requires_grad:
+                _acc(delta, np.einsum("lmnd,nd->lmd", gz, at))
+            if a.requires_grad:
+                _acc(a, np.einsum("lmnd,lmd->dn", gz, delta.data))
 
     out._backward = backward if out.requires_grad else None
     return out
@@ -779,9 +835,12 @@ def load_mvt(path):
         if any(s < 1 for s in shape):
             raise MvtError(f"{path}: zero extent in shape {shape}")
         dtype = _DTYPE_CODES[code]
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = fh.read(count * dtype.itemsize + 1)
-        if len(payload) != count * dtype.itemsize:
-            raise MvtError(f"{path}: corrupt payload "
-                           f"({len(payload)} bytes for {count} values)")
+        count = math.prod(shape)  # Python ints: no overflow for any header
+        nbytes = count * dtype.itemsize
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != nbytes:
+            raise MvtError(f"{path}: corrupt payload ({size} bytes for {count} values)")
+        payload = fh.read(nbytes)
+        if len(payload) != nbytes:
+            raise MvtError(f"{path}: corrupt payload (file changed while read)")
     return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()

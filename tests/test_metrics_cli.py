@@ -191,6 +191,24 @@ class TestCliPipeline:
                      str(tmp_path / "s"), "--prompt", "a cube"]) == 3
         assert "config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [None, ["a cube"]])
+    def test_bad_checkpoint_extra_is_io_error(self, tmp_path, capsys, extra):
+        from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
+        ck = tmp_path / "ck"
+        save_checkpoint(MvDenoiser(ModelConfig(f=2, latent_h=4, latent_w=4,
+                                               channels=8, text_dim=8)), ck,
+                        extra={"prompt": "a cube"})
+        manifest = json.loads((ck / "checkpoint.json").read_text())
+        if extra is None:
+            del manifest["extra"]
+        else:
+            manifest["extra"] = extra
+        (ck / "checkpoint.json").write_text(json.dumps(manifest))
+        assert main(["sample", "--checkpoint", str(ck), "--out",
+                     str(tmp_path / "s")]) == 3
+        assert "no extra object" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         assert main(["sample", "--checkpoint", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "s")]) == 3

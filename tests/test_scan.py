@@ -6,13 +6,15 @@ import os
 import numpy as np
 import pytest
 
+from mvring import _kernel
 from mvring._kernel import backend_name, linrec_array, linrec_python
 from mvring.geometry import LatentStack, ViewRing
 from mvring.scan import (ScanOrder, SsmParams, build_scan_order,
                          discretize_zoh, rapid_glance, row_major_order,
                          sbscan_permute, sbscan_restore, selective_scan,
                          selective_scan_sequential, spiral_order)
-from mvring.tensor import Tape, Tensor, grad_check
+from mvring.tensor import (Tape, Tensor, grad_check, linear_recurrence, matmul,
+                           no_grad)
 
 
 def make_params(tape, d, n, out_random=True):
@@ -204,6 +206,99 @@ class TestSelectiveScan:
         assert rep.passed, rep
 
 
+def composed_selective_scan(x, params, chunk=64):
+    """The scan built from separate primitives over [L*M, D, N] arrays."""
+    L, D = x.shape[0], x.shape[-1]
+    N = params.d_state
+    rows = x.reshape(-1, D)
+    n = rows.shape[0]
+    a = -params.a_log.exp()
+    delta = (matmul(rows, params.w_delta) + params.b_delta).softplus()
+    b = matmul(rows, params.w_b) + params.b_b
+    c = matmul(rows, params.w_c) + params.b_c
+    abar = (delta.reshape(n, D, 1) * a.reshape(1, D, N)).exp()
+    u = (delta * rows).reshape(n, D, 1) * b.reshape(n, 1, N)
+    h = linear_recurrence(abar.reshape(L, n // L * D * N),
+                          u.reshape(L, n // L * D * N), chunk=chunk)
+    y = (h.reshape(n, D, N) * c.reshape(n, 1, N)).sum(axis=2)
+    return y.reshape(x.shape)
+
+
+def scan_grads(scan, x, p):
+    for t in [x] + p.tensors():
+        t.zero_grad()
+    y = scan(x, p)
+    (y * y * 0.5 + y).sum().backward()
+    return [t.grad_array().copy() for t in [x] + p.tensors()]
+
+
+class TestFusedScan:
+    @pytest.mark.parametrize("shape", [(40, 6), (40, 3, 6)])
+    def test_forward_matches_composed_bitwise(self, rng, shape):
+        p = make_params(Tape(13), 6, 4)
+        x = Tensor(rng.standard_normal(shape))
+        for chunk in (None, 1, 7, 64):
+            assert np.array_equal(selective_scan(x, p, chunk=chunk).data,
+                                  composed_selective_scan(x, p, chunk=chunk).data)
+
+    @pytest.mark.parametrize("shape", [(40, 6), (40, 3, 6)])
+    def test_gradients_match_composed(self, rng, shape):
+        p = make_params(Tape(14), 6, 4)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        got = scan_grads(selective_scan, x, p)
+        want = scan_grads(composed_selective_scan, x, p)
+        for g, w in zip(got, want):
+            assert np.any(w != 0.0)
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+        for chunk in (1, 7, None):
+            chunked = scan_grads(lambda x, p: selective_scan(x, p, chunk), x, p)
+            assert all(np.array_equal(g, c) for g, c in zip(got, chunked))
+
+    def test_width_axis_gradcheck(self, rng):
+        p = make_params(Tape(15), 3, 2)
+        x = Tensor(rng.uniform(-1, 1, (6, 2, 3)), requires_grad=True)
+
+        def f():
+            y = selective_scan(x, p, chunk=4)
+            return (y * y).sum()
+
+        rep = grad_check(f, [x] + p.tensors(), eps=1e-6, tol=1e-4)
+        assert rep.passed, rep
+
+    def test_float32_stays_float32(self, rng):
+        p = SsmParams.init(Tape(16, dtype=np.float32), "s", 5, 3, out_scale=1.0)
+        x = Tensor(rng.standard_normal((20, 2, 5)).astype(np.float32),
+                   requires_grad=True)
+        y = selective_scan(x, p)
+        assert y.dtype == np.float32
+        y.backward(seed=np.ones(y.shape, dtype=np.float32))
+        assert all(t.grad.dtype == np.float32 for t in [x] + p.tensors())
+
+    def test_no_grad_records_nothing(self, rng):
+        p = make_params(Tape(17), 4, 2)
+        x = Tensor(rng.standard_normal((9, 2, 4)), requires_grad=True)
+        with no_grad():
+            y = selective_scan(x, p)
+        assert not y.requires_grad
+        assert y._parents == () and y._backward is None
+
+    def test_one_kernel_call_per_direction(self, rng, monkeypatch):
+        calls = []
+        real = _kernel.linrec_array
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(_kernel, "linrec_array", counting)
+        p = make_params(Tape(18), 4, 2)
+        x = Tensor(rng.standard_normal((6, 4, 2, 2)), requires_grad=True)
+        out = rapid_glance(LatentStack(x, ViewRing(f=3, W=2, H=2)), p).data
+        assert len(calls) == 1
+        (out * out).sum().backward()
+        assert len(calls) == 2
+
+
 class TestRapidGlance:
     def test_single_token_residual(self):
         p = hand_params()
@@ -292,7 +387,29 @@ class TestRapidGlance:
             assert np.max(np.abs(got[:, m] - want)) <= 1e-12
 
 
+def plain_recurrence(a, u):
+    """h = a[l] * h + u[l] step by step, independent of the kernel module."""
+    h = np.zeros_like(u[0])
+    out = np.empty_like(u)
+    for l in range(u.shape[0]):
+        h = a[l] * h + u[l]
+        out[l] = h
+    return out
+
+
 class TestKernelBackends:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("L", [1, 2, 767])
+    @pytest.mark.parametrize("chunk", [None, 1, 7, 64])
+    def test_kernel_matches_plain_loop(self, rng, dtype, L, chunk):
+        a = rng.uniform(0.0, 1.0, (L, 3, 5)).astype(dtype)
+        u = rng.standard_normal((L, 3, 5)).astype(dtype)
+        want = plain_recurrence(a, u)
+        got = linrec_array(a, u, chunk=chunk)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(linrec_python(a, u), want)
+
     def test_python_fallback_matches_active_backend(self, rng):
         a = rng.uniform(0.0, 1.0, (40, 6))
         u = rng.standard_normal((40, 6))

@@ -1,6 +1,8 @@
 """Tensor substrate: op semantics, autodiff, and the .mvt format."""
 
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,6 +348,20 @@ class TestMvtFormat:
         with pytest.raises(MvtError, match="corrupt payload") as exc:
             load_mvt(p)
         assert "trunc.mvt" in str(exc.value)
+
+    @pytest.mark.parametrize("extents", [(2**32 - 1,), (2**32 - 1,) * 3])
+    def test_huge_header_rejected_before_reading(self, tmp_path, extents):
+        p = tmp_path / "huge.mvt"
+        p.write_bytes(b"MVT1" + struct.pack("<BB", 1, len(extents))
+                      + struct.pack(f"<{len(extents)}I", *extents) + bytes(16))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MvtError, match="corrupt payload"):
+                load_mvt(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_trailing_garbage_rejected(self, tmp_path, rng):
         p = tmp_path / "garbage.mvt"
