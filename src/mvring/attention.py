@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import LatentStack, ViewRing, delta_azimuth, trajectory_window
 from .tensor import (Tensor, avg_pool2d, bilinear_upsample2d, concat, matmul,
-                     scatter_plan, softmax, take_rows)
+                     softmax)
 
 __all__ = [
     "AttentionParams",
@@ -95,35 +95,40 @@ def sdpa(q, k, v, bias=None):
     d = q.shape[-1]
     if k.shape[-1] != d or v.shape[-1] != d or k.shape[:-1] != v.shape[:-1]:
         raise ValueError(f"sdpa shape mismatch: q{q.shape} k{k.shape} v{v.shape}")
-    logits = matmul(q, k.swap_last2()) * (1.0 / np.sqrt(d))
+    logits = matmul(q, k.swap_last2())
     if bias is not None:
-        logits = logits + Tensor(np.asarray(bias, dtype=logits.dtype))
-    return matmul(softmax(logits, axis=-1), v)
+        bias = np.asarray(bias, dtype=logits.dtype)
+    return matmul(softmax(logits, axis=-1, scale=1.0 / np.sqrt(d), bias=bias), v)
 
 
 def _split_heads(t, n_heads):
-    """[B, n, C] -> [B*heads, n, C/heads]."""
-    b, n, c = t.shape
-    return t.reshape(b, n, n_heads, c // n_heads).transpose((0, 2, 1, 3)) \
-            .reshape(b * n_heads, n, c // n_heads)
+    """[..., n, C] -> [..., heads, n, C/heads]."""
+    *lead, n, c = t.shape
+    k = len(lead)
+    return t.reshape(*lead, n, n_heads, c // n_heads) \
+            .transpose((*range(k), k + 1, k, k + 2))
 
 
-def _merge_heads(t, n_heads):
-    bh, n, dh = t.shape
-    b = bh // n_heads
-    return t.reshape(b, n_heads, n, dh).transpose((0, 2, 1, 3)).reshape(b, n, n_heads * dh)
+def _merge_heads(t):
+    """[..., heads, n, dh] -> [..., n, heads*dh]."""
+    *lead, n_heads, n, dh = t.shape
+    k = len(lead)
+    return t.transpose((*range(k), k + 1, k, k + 2)) \
+            .reshape(*lead, n, n_heads * dh)
 
 
 def _mha(q, k, v, n_heads, bias=None):
-    """Multi-head sdpa over [B, n, C] queries and [B, m, C] keys/values."""
+    """Multi-head sdpa over [..., n, C] queries and [..., m, C] keys/values.
+
+    `bias` broadcasts against the [..., n, m] logits and is shared by every
+    head.
+    """
     if n_heads == 1:
         return sdpa(q, k, v, bias)
-    qh = _split_heads(q, n_heads)
-    kh = _split_heads(k, n_heads)
-    vh = _split_heads(v, n_heads)
     if bias is not None:
-        bias = np.repeat(np.asarray(bias), n_heads, axis=0)
-    return _merge_heads(sdpa(qh, kh, vh, bias), n_heads)
+        bias = np.expand_dims(bias, -3)
+    return _merge_heads(sdpa(_split_heads(q, n_heads), _split_heads(k, n_heads),
+                             _split_heads(v, n_heads), bias))
 
 
 def _to_tokens(x):
@@ -144,6 +149,16 @@ def _check_channels(stack, params):
                          f"stack has {stack.channels}")
 
 
+def _ring_window(t, axis):
+    """Concatenate [prev, self, next] of every view of a [B, f, ...] stack
+    along `axis`. Neighbours are cyclic within each ring; with f=1 all three
+    are the view itself."""
+    f = t.shape[1]
+    prev = concat([t[:, f - 1:], t[:, :f - 1]], axis=1) if f > 1 else t
+    nxt = concat([t[:, 1:], t[:, :1]], axis=1) if f > 1 else t
+    return concat([prev, t, nxt], axis=axis)
+
+
 def adjacent_attention(stack: LatentStack, params: AttentionParams) -> LatentStack:
     """Attend each view's queries over keys/values of [prev, self, next].
 
@@ -159,10 +174,8 @@ def adjacent_attention(stack: LatentStack, params: AttentionParams) -> LatentSta
     v = matmul(tokens, params.w_v)
 
     def ring_window(t):
-        t = t.reshape(b, f, h * w, c)
-        prev = concat([t[:, f - 1:], t[:, :f - 1]], axis=1) if f > 1 else t
-        nxt = concat([t[:, 1:], t[:, :1]], axis=1) if f > 1 else t
-        return concat([prev, t, nxt], axis=2).reshape(n, 3 * h * w, c)
+        return _ring_window(t.reshape(b, f, h * w, c), axis=2) \
+            .reshape(n, 3 * h * w, c)
 
     out = matmul(_mha(q, ring_window(k), ring_window(v), params.n_heads),
                  params.w_o)
@@ -170,47 +183,24 @@ def adjacent_attention(stack: LatentStack, params: AttentionParams) -> LatentSta
 
 
 @lru_cache(maxsize=32)
-def _trajectory_indices(f, h, w):
-    """Per-pixel gather indices and logit bias for the 27-slot key window.
+def _trajectory_bias(f, h, w):
+    """[H, W, 9W] logit bias over the key band of each latent row.
 
-    Slots 0..8 look into view i-1 at the window predicted by the backward
-    azimuth step, slots 9..17 are the pixel's own 3x3 neighbourhood, slots
-    18..26 look into view i+1. Padded slots carry a -1e30 bias.
+    Row y's band holds rows y-1, y, y+1 (zeros past the image edge), each as
+    views i-1, i, i+1 side by side: key (3*r + s)*W + x' is column x' of row
+    y-1+r in view slot s. The bias is 0 on each pixel's trajectory_window in
+    its three views and -1e30 everywhere else.
     """
     ring = ViewRing(f=f, W=w, H=h)
     deltas = (delta_azimuth(ring, 0, (f - 1) % f), 0.0,
               delta_azimuth(ring, 0, 1 % f))
-    offsets = (-1, 0, 1)
-    hw = h * w
-    spat = np.zeros((hw, 27), dtype=np.int64)
-    bias = np.full((hw, 27), _MASK_OFF)
+    bias = np.full((h, w, 3, 3, w), _MASK_OFF)
     for y in range(h):
         for x in range(w):
-            p = y * w + x
             for s, delta in enumerate(deltas):
-                win = trajectory_window(x, y, delta, w, h)
-                for j, (cc, rr) in enumerate(win):
-                    spat[p, 9 * s + j] = rr * w + cc
-                    bias[p, 9 * s + j] = 0.0
-    view_off = np.repeat(np.array(offsets, dtype=np.int64), 9)
-    idx = ((np.arange(f)[:, None, None] + view_off[None, None, :]) % f) * hw \
-        + spat[None, :, :]
-    idx = idx.reshape(f * hw, 27)
-    bias_b = np.ascontiguousarray(
-        np.broadcast_to(bias[None, :, None, :], (f, hw, 1, 27))
-        .reshape(f * hw, 1, 27))
-    return idx, bias_b, scatter_plan(idx)
-
-
-@lru_cache(maxsize=32)
-def _ring_trajectory_indices(b, f, h, w):
-    """_trajectory_indices for B rings: ring r's rows are offset by r*f*H*W."""
-    idx, bias_b, plan = _trajectory_indices(f, h, w)
-    if b == 1:
-        return idx, bias_b, plan
-    idx = (idx[None] + (np.arange(b) * idx.shape[0])[:, None, None]) \
-        .reshape(b * idx.shape[0], idx.shape[1])
-    return idx, np.concatenate([bias_b] * b), scatter_plan(idx)
+                for cc, rr in trajectory_window(x, y, delta, w, h):
+                    bias[y, x, rr - y + 1, s, cc] = 0.0
+    return bias.reshape(h, w, 9 * w)
 
 
 def trajectory_attention(stack: LatentStack, ring: ViewRing,
@@ -219,24 +209,26 @@ def trajectory_attention(stack: LatentStack, ring: ViewRing,
 
     Each pixel attends over at most 27 keys: the predicted window in the
     previous view, its own neighbourhood, and the predicted window in the
-    next view of its ring.
+    next view of its ring. The queries of a latent row attend together over
+    one band of 9W tokens (rows y-1..y+1 of views i-1, i, i+1) under a static
+    mask that keeps exactly those windows.
     """
     _check_channels(stack, params)
     n, c, h, w = stack.data.shape
-    if (ring.H, ring.W) != (h, w) or n % ring.f:
-        raise ValueError(f"ring {ring.f}x{ring.H}x{ring.W} does not match "
+    f = ring.f
+    if (ring.H, ring.W) != (h, w) or n % f:
+        raise ValueError(f"ring {f}x{ring.H}x{ring.W} does not match "
                          f"stack {n}x{h}x{w}")
-    hw = h * w
-    idx, bias_b, plan = _ring_trajectory_indices(n // ring.f, ring.f, h, w)
-    tokens = _to_tokens(stack.data)
-    q = matmul(tokens, params.w_q).reshape(n * hw, 1, c)
-    k = matmul(tokens, params.w_k).reshape(n * hw, c)
-    v = matmul(tokens, params.w_v).reshape(n * hw, c)
-    kk = take_rows(k, idx, plan=plan)
-    vv = take_rows(v, idx, plan=plan)
-    out = _mha(q, kk, vv, params.n_heads, bias_b)
-    out = matmul(out.reshape(n, hw, c), params.w_o)
-    return stack.with_data(_to_maps(out, h, w))
+    tokens = stack.data.transpose((0, 2, 3, 1))                  # [n, H, W, C]
+    rows = _ring_window(tokens.reshape(n // f, f, h, w, c), axis=3)  # [B, f, H, 3W, C]
+    edge = Tensor(np.zeros(rows.shape[:2] + (1,) + rows.shape[3:], rows.dtype))
+    padded = concat([edge, rows, edge], axis=2)
+    band = concat([padded[:, :, :h], rows, padded[:, :, 2:]], axis=3) \
+        .reshape(n, h, 9 * w, c)                                  # [n, H, 9W, C]
+    out = _mha(matmul(tokens, params.w_q), matmul(band, params.w_k),
+               matmul(band, params.w_v), params.n_heads,
+               _trajectory_bias(f, h, w))
+    return stack.with_data(matmul(out, params.w_o).transpose((0, 3, 1, 2)))
 
 
 @dataclass

@@ -93,11 +93,14 @@ def _load_dataset(path):
         raise CliError(str(exc), EXIT_IO)
 
 
+def _check_image_dims(w, h):
+    if w % dn.LATENT_FACTOR or h % dn.LATENT_FACTOR:
+        raise CliError(f"image dims {w}x{h} are not divisible by the latent "
+                       f"factor {dn.LATENT_FACTOR}", EXIT_CONFIG)
+
+
 def _build_config(manifest, args, stack_flags, scan):
-    if manifest["W"] % dn.LATENT_FACTOR or manifest["H"] % dn.LATENT_FACTOR:
-        raise CliError(f"image dims {manifest['W']}x{manifest['H']} are not "
-                       f"divisible by the latent factor {dn.LATENT_FACTOR}",
-                       EXIT_CONFIG)
+    _check_image_dims(manifest["W"], manifest["H"])
     try:
         return dn.ModelConfig(
             f=manifest["f"],
@@ -168,6 +171,7 @@ def _dump_views(out_dir, z):
 def cmd_gen_data(args):
     if args.views < 2:
         raise CliError(f"need at least 2 views, got {args.views}", EXIT_CONFIG)
+    _check_image_dims(args.res, args.res)
     if args.elevation == "random":
         elev = float(np.random.default_rng(args.seed).uniform(-30.0, 30.0))
     else:

@@ -26,8 +26,8 @@ from .attention import (AirConfig, AttentionParams, ScoreMapper,
                         trajectory_attention, _to_maps, _to_tokens)
 from .geometry import LatentStack, ViewRing
 from .scan import SsmParams, rapid_glance
-from .tensor import (MvtError, Tape, Tensor, concat, layer_norm, load_mvt,
-                     matmul, no_grad, save_mvt, unfold3x3)
+from .tensor import (MvtError, Tape, Tensor, bilinear_upsample2d, concat,
+                     layer_norm, load_mvt, matmul, no_grad, save_mvt, unfold3x3)
 
 __all__ = [
     "NoiseSchedule",
@@ -259,15 +259,10 @@ def encode_images(images):
 
 def decode_latents(z, upsample=True):
     """Latents back to [f,H,W,3] images in [0,1] (bilinear 4x by default)."""
-    from .tensor import _upsample_matrix
-
     rgb = np.clip((np.asarray(z) + 1.0) / 2.0, 0.0, 1.0)
     if not upsample:
         return rgb.transpose(0, 2, 3, 1)
-    f, c, h, w = rgb.shape
-    uh = _upsample_matrix(h, LATENT_FACTOR, rgb.dtype)
-    uw = _upsample_matrix(w, LATENT_FACTOR, rgb.dtype)
-    up = np.matmul(uh, np.matmul(rgb, uw.T))
+    up = bilinear_upsample2d(Tensor(rgb), LATENT_FACTOR).data
     return np.clip(up, 0.0, 1.0).transpose(0, 2, 3, 1)
 
 

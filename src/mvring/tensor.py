@@ -120,8 +120,8 @@ class Tensor:
                  _parents=(), _backward=None):
         if isinstance(data, Tensor):
             raise TypeError("wrap raw array data, not another Tensor")
-        if isinstance(data, np.ndarray) and data.dtype in _FLOAT_DTYPES:
-            self.data = data
+        if isinstance(data, (np.ndarray, np.generic)) and data.dtype in _FLOAT_DTYPES:
+            self.data = np.asarray(data)  # full reductions yield numpy scalars
         else:
             self.data = np.asarray(data, dtype=dtype)
         self.grad = None
@@ -437,16 +437,24 @@ def matmul(a, b):
     return out
 
 
-def softmax(x, axis=-1):
-    """Numerically stable softmax along `axis`; rows sum to 1."""
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+def softmax(x, axis=-1, scale=1.0, bias=None):
+    """Numerically stable softmax of x * scale + bias along `axis`; rows sum
+    to 1. `bias` is a constant additive array (0 keeps an entry, large
+    negative removes it) and receives no gradient."""
+    scale = x.data.dtype.type(scale)
+    y = x.data * scale
+    if bias is not None:
+        y += bias
+    y -= y.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     out = Tensor(y, _parents=(x,))
 
     def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        _acc(x, y * (g - dot))
+        gx = y * (g - dot)
+        gx *= scale
+        _acc(x, gx)
 
     out._backward = backward if out.requires_grad else None
     return out
@@ -573,21 +581,11 @@ def unfold3x3(x):
     return out
 
 
-def scatter_plan(idx):
-    """Precomputed segment-sum plan for repeated take_rows backward passes."""
-    flat = np.asarray(idx).ravel()
-    order = np.argsort(flat, kind="stable")
-    sorted_idx = flat[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_idx)) + 1])
-    return order, starts, sorted_idx[starts]
-
-
-def take_rows(x, idx, inverse=None, plan=None):
+def take_rows(x, idx, inverse=None):
     """Gather rows of x along axis 0 with an integer index array.
 
     Output shape is idx.shape + x.shape[1:]. The backward pass scatter-adds;
-    pass `inverse` when idx is a permutation (backward becomes a gather) or a
-    cached `plan` from scatter_plan for a fast segment-sum scatter.
+    pass `inverse` when idx is a permutation (backward becomes a gather).
     """
     idx = np.asarray(idx)
     out = Tensor(np.take(x.data, idx, axis=0), _parents=(x,))
@@ -595,13 +593,6 @@ def take_rows(x, idx, inverse=None, plan=None):
     def backward(g):
         if inverse is not None:
             _acc(x, np.take(g, inverse, axis=0))
-        elif plan is not None:
-            order, starts, uniq = plan
-            tail = x.data.shape[1:]
-            gflat = g.reshape(-1, int(np.prod(tail, dtype=np.int64)) or 1)
-            sums = np.add.reduceat(np.take(gflat, order, axis=0), starts, axis=0)
-            buf = _owned_grad(x)
-            buf.reshape(buf.shape[0], -1)[uniq] += sums
         else:
             np.add.at(_owned_grad(x), idx, g)
 

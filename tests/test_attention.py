@@ -211,6 +211,34 @@ class TestTrajectoryAttention:
         want = to_maps(out, 8, 8)
         assert np.max(np.abs(got - want)) <= 1e-10
 
+    def test_multi_head_matches_per_head_oracle(self, rng):
+        ring = ViewRing(f=3, W=6, H=4)
+        p = random_params(10, 8, n_heads=2)
+        z = rng.standard_normal((3, 8, 4, 6))
+        got = trajectory_attention(LatentStack(Tensor(z), ring), ring, p).data.data
+        toks = to_tokens(z)
+        q = toks @ p.w_q.data
+        k = toks @ p.w_k.data
+        v = toks @ p.w_v.data
+        out = np.empty_like(toks)
+        for i in range(3):
+            for y in range(4):
+                for x in range(6):
+                    sel = [((i + off) % 3, r * 6 + c) for off in (-1, 0, 1)
+                           for c, r in trajectory_window(
+                               x, y, delta_azimuth(ring, i, (i + off) % 3),
+                               6, 4)]
+                    ks = np.stack([k[j, t] for j, t in sel])
+                    vs = np.stack([v[j, t] for j, t in sel])
+                    qp = q[i, y * 6 + x][None]
+                    heads = [np_sdpa(qp[:, h * 4:(h + 1) * 4],
+                                     ks[:, h * 4:(h + 1) * 4],
+                                     vs[:, h * 4:(h + 1) * 4]) for h in (0, 1)]
+                    out[i, y * 6 + x] = np.concatenate(heads, axis=1)[0] \
+                        @ p.w_o.data
+        want = to_maps(out, 4, 6)
+        assert np.max(np.abs(got - want)) <= 1e-10
+
     def test_cyclic_relabelling_equivariance_bitwise(self, rng):
         ring = ViewRing(f=4, W=4, H=4)
         p = random_params(8, 4)

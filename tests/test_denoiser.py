@@ -148,6 +148,19 @@ class TestLatentCodec:
         assert img.shape == (12, 32, 32, 3)
         assert img.min() >= 0.0 and img.max() <= 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_decode_upsample_is_the_interpolation_matmul(self, rng, dtype):
+        """Bit for bit the separable matmul pair uh @ rgb @ uw^T."""
+        from mvring.tensor import _upsample_matrix
+        z = rng.uniform(-1.2, 1.2, (3, 3, 5, 6)).astype(dtype)
+        rgb = np.clip((z + 1.0) / 2.0, 0.0, 1.0)
+        uh = _upsample_matrix(5, 4, rgb.dtype)
+        uw = _upsample_matrix(6, 4, rgb.dtype)
+        want = np.clip(np.matmul(uh, np.matmul(rgb, uw.T)), 0.0, 1.0)
+        got = decode_latents(z)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want.transpose(0, 2, 3, 1))
+
 
 class TestDenoise:
     def test_fresh_model_predicts_zero(self, mini_model, text8, rng):

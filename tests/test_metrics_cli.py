@@ -90,6 +90,31 @@ class TestPpm:
         assert len(raw) == len(b"P6\n3 2\n255\n") + 18
 
 
+    def _rewrite(self, tmp_path, raw):
+        p = tmp_path / "bad.ppm"
+        p.write_bytes(raw)
+        return p
+
+    def test_truncated_payload(self, tmp_path):
+        write_ppm(tmp_path / "t.ppm", np.zeros((2, 3, 3)))
+        p = self._rewrite(tmp_path, (tmp_path / "t.ppm").read_bytes()[:-1])
+        with pytest.raises(ValueError, match="bad.ppm.*truncated"):
+            read_ppm(p)
+
+    @pytest.mark.parametrize("maxval", [b"0", b"256", b"65535", b"-1", b"x"])
+    def test_maxval_out_of_range(self, tmp_path, maxval):
+        p = self._rewrite(tmp_path, b"P6\n1 1\n" + maxval + b"\n" + bytes(6))
+        with pytest.raises(ValueError, match="bad.ppm.*maxval"):
+            read_ppm(p)
+
+    @pytest.mark.parametrize("dims", [b"3", b"3 2 1", b"a 2", b"0 2", b"3 -2",
+                                      b""])
+    def test_malformed_dimensions(self, tmp_path, dims):
+        p = self._rewrite(tmp_path, b"P6\n" + dims + b"\n255\n" + bytes(18))
+        with pytest.raises(ValueError, match="bad.ppm.*dimensions"):
+            read_ppm(p)
+
+
 class TestStackParsing:
     def test_valid_stacks(self):
         assert parse_stack("aa") == {"enable_aa": True, "enable_dr": False,
@@ -119,6 +144,18 @@ class TestCliPipeline:
         names = os.listdir(dataset_dir)
         assert sum(n.startswith("view_") for n in names) == 12
         assert "manifest.json" in names
+
+    @pytest.mark.parametrize("res", ["30", "6", "0", "-4"])
+    def test_gen_data_res_not_a_latent_multiple(self, tmp_path, capsys, res):
+        out = tmp_path / "ds"
+        assert main(["gen-data", "--out", str(out), "--res", res]) == 2
+        if int(res) > 0:
+            assert "not divisible by the latent factor 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_data_res_8_is_valid(self, tmp_path):
+        assert main(["gen-data", "--out", str(tmp_path / "ds"), "--views", "2",
+                     "--res", "8"]) == 0
 
     def test_gen_data_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -73,6 +73,23 @@ class TestSoftmax:
         assert np.all(out > 0.0) and np.all(out < 1.0 + 1e-15)
 
 
+    def test_scale_and_bias_match_composed_logits(self, rng):
+        x = rng.standard_normal((3, 5))
+        bias = np.where(rng.random((3, 5)) < 0.4, -1e30, 0.0)
+        bias[:, 0] = 0.0
+        got = softmax(Tensor(x), scale=0.3, bias=bias).data
+        assert np.array_equal(got, softmax(Tensor(x * 0.3 + bias)).data)
+        assert np.all(got[bias < 0] == 0.0)
+
+    def test_scale_and_bias_gradient(self, rng):
+        x = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 6)))
+        bias = np.array([0.0, -1e30, 0.5, 0.0, -1e30, 0.0])
+        rep = grad_check(lambda: (softmax(x, scale=0.7, bias=bias) * w).sum(),
+                         [x], eps=1e-6, tol=1e-8)
+        assert rep.passed, rep
+
+
 class TestAvgPool:
     def test_mean_of_all(self):
         out = avg_pool2d(Tensor([[1.0, 2.0], [3.0, 4.0]]), 2)
