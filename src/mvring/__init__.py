@@ -7,7 +7,6 @@ sampled on a bundled synthetic multiview dataset with exact ground-truth
 pixel correspondences.
 """
 
-from ._kernel import backend_name
 from .attention import (AirConfig, AttentionParams, ScoreMapper,
                         adjacent_attention, air_attention, score_map, sdpa,
                         trajectory_attention)
@@ -30,7 +29,6 @@ from .tensor import (Tape, Tensor, avg_pool2d, bilinear_upsample2d, grad_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "backend_name",
     "AirConfig", "AttentionParams", "ScoreMapper", "adjacent_attention",
     "air_attention", "score_map", "sdpa", "trajectory_attention",
     "RenderedSet", "SceneSpec", "ground_truth_correspondence", "load_dataset",

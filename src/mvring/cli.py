@@ -19,9 +19,8 @@ import numpy as np
 from . import data as dat
 from . import denoiser as dn
 from . import metrics as met
-from ._kernel import backend_name
 from .geometry import ViewRing
-from .tensor import MvtError, Tensor, grad_check, load_mvt, save_mvt
+from .tensor import MvtError, grad_check, load_mvt, save_mvt
 from .scan import SCAN_STRATEGIES
 
 CSV_HEADER = "run_id,stack,scan_strategy,seed,step,train_loss,consistency,psnr_vs_gt"
@@ -67,7 +66,6 @@ def _write_csv(path, rows):
 def _write_manifest(path, payload):
     payload = dict(payload)
     payload["deterministic"] = _deterministic()
-    payload["scan_backend"] = backend_name()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -130,23 +128,25 @@ def _training_batch(rset, manifest):
     }
 
 
-def _check_steps(args):
+def _check_train_args(args):
     if args.steps < 1:
         raise CliError(f"--steps must be >= 1, got {args.steps}", EXIT_CONFIG)
+    if args.log_every < 1:
+        raise CliError(f"--log-every must be >= 1, got {args.log_every}",
+                       EXIT_CONFIG)
 
 
 def _train_one(rset, manifest, args, stack_flags, scan, seed):
     config = _build_config(manifest, args, stack_flags, scan)
     model = dn.MvDenoiser(config, seed=seed)
     batch = _training_batch(rset, manifest)
-    rng = np.random.default_rng(seed)
     try:
-        history = dn.train_loop(batch, model, max_steps=args.steps,
+        history = dn.train_loop(batch, model, seed=seed, max_steps=args.steps,
                                 stop_loss=args.stop_loss,
-                                log_every=args.log_every, rng=rng)
+                                log_every=args.log_every)
     except dn.TrainingDiverged as exc:
         raise CliError(str(exc), EXIT_INVARIANT)
-    return model, batch, history, rng
+    return model, batch, history
 
 
 def _sample_stack(model, batch, steps, guidance, seed):
@@ -190,13 +190,13 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    _check_steps(args)
+    _check_train_args(args)
     rset, manifest = _load_dataset(args.dataset)
     stack_flags = parse_stack(args.stack)
     if args.scan not in SCAN_STRATEGIES:
         raise CliError(f"unknown scan strategy {args.scan!r}", EXIT_CONFIG)
-    model, batch, history, rng = _train_one(rset, manifest, args, stack_flags,
-                                            args.scan, args.seed)
+    model, batch, history = _train_one(rset, manifest, args, stack_flags,
+                                       args.scan, args.seed)
     stack = model.config.stack
     run_id = f"train__{stack}__{args.scan}__s{args.seed}"
     rows = [_csv_row(run_id, stack, args.scan, args.seed, step=s, train_loss=ma)
@@ -207,8 +207,7 @@ def cmd_train(args):
                        extra={"dataset_seed": manifest["seed"],
                               "prompt": batch["prompt"],
                               "train_seed": args.seed,
-                              "final_loss_ma": history[-1][2],
-                              "rng_state": rng.bit_generator.state})
+                              "final_loss_ma": history[-1][2]})
     print(f"trained {stack} for {history[-1][0]} steps, "
           f"final smoothed loss {history[-1][2]:.4f}; checkpoint in {args.out}")
     return EXIT_OK
@@ -246,22 +245,11 @@ def cmd_sample(args):
 
 
 def cmd_gradcheck(args):
-    config = dn.ModelConfig(f=2, latent_h=4, latent_w=4, channels=8, blocks=1,
-                            text_dim=8, d_state=2, tau=2, rho=4)
-    model = dn.MvDenoiser(config, seed=args.seed)
-    rng = np.random.default_rng(args.seed)
-    z0 = rng.standard_normal((2, dn.LATENT_CHANNELS, 4, 4)) * 0.5
-    eps = rng.standard_normal(z0.shape)
-    text = dn.ToyTextEncoder(dim=8).embed_prompt("a checker cube")
-    t = 321
-    z_t = dn.add_noise(z0, t, eps, model.sched)
-    target = Tensor(eps)
-
-    def loss():
-        diff = model.denoise(z_t, t, text) - target
-        return (diff * diff).mean()
-
-    report = grad_check(loss, model.params(), eps=args.eps, tol=args.tol,
+    if args.max_entries is not None and args.max_entries < 1:
+        raise CliError(f"--max-entries must be >= 1, got {args.max_entries}",
+                       EXIT_CONFIG)
+    loss, params = dn.gradcheck_loss(args.seed)
+    report = grad_check(loss, params, eps=args.eps, tol=args.tol,
                         max_entries=args.max_entries)
     print(f"gradcheck: {report.n_checked} coordinates, max rel err "
           f"{report.max_rel_err:.3e} (tol {report.tol:g}) -> "
@@ -290,7 +278,10 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
-    _check_steps(args)
+    _check_train_args(args)
+    # reject bad sampling flags before training, not after
+    dn.check_guidance(args.guidance)
+    dn.ddim_timesteps(dn.ModelConfig.T, args.sample_steps)
     rset, manifest = _load_dataset(args.dataset)
     stacks = [s.strip() for s in args.stacks.split(",") if s.strip()]
     scans = [s.strip() for s in args.scans.split(",") if s.strip()]
@@ -303,12 +294,11 @@ def cmd_ablate(args):
     os.makedirs(args.out, exist_ok=True)
     gt_decoded = dn.decode_latents(dn.encode_images(rset.images))
     rows = []
-    results = {}
     for stack_text in stacks:
         flags = parse_stack(stack_text)
         for scan in scans:
-            model, batch, history, _ = _train_one(rset, manifest, args, flags,
-                                                  scan, args.seed)
+            model, batch, history = _train_one(rset, manifest, args, flags,
+                                               scan, args.seed)
             stack = model.config.stack
             run_id = f"{stack}__{scan}__s{args.seed}"
             cons, psnrs = [], []
@@ -322,7 +312,6 @@ def cmd_ablate(args):
                                  step=history[-1][0], train_loss=history[-1][2],
                                  consistency=float(np.median(cons)),
                                  psnr_vs_gt=float(np.median(psnrs))))
-            results[run_id] = float(np.median(cons))
             print(f"{run_id}: steps={history[-1][0]} loss={history[-1][2]:.4f} "
                   f"consistency={np.median(cons):.4f}", flush=True)
     _write_csv(os.path.join(args.out, "ablation.csv"), rows)

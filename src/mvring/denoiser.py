@@ -42,6 +42,8 @@ __all__ = [
     "ddim_timesteps",
     "ddim_step",
     "ddim_sample",
+    "check_guidance",
+    "gradcheck_loss",
     "encode_images",
     "decode_latents",
     "latent_ring",
@@ -228,8 +230,9 @@ class ModelConfig:
     def __post_init__(self):
         if not 0.0 <= self.p_2d <= 1.0 or not 0.0 <= self.p_drop <= 1.0:
             raise ValueError("p_2d and p_drop must lie in [0, 1]")
-        if self.guidance < 0.0:
-            raise ValueError("guidance scale must be >= 0")
+        if self.channels < 1:
+            raise ValueError(f"channels must be >= 1, got {self.channels}")
+        check_guidance(self.guidance)
 
     @property
     def stack(self):
@@ -551,14 +554,13 @@ def training_step(batch, model: MvDenoiser, sched: NoiseSchedule, rng):
 
 
 def train_loop(batch, model, seed=0, max_steps=20000, stop_loss=None,
-               log_every=200, on_log=None, rng=None):
+               log_every=200, on_log=None):
     """Overfit loop on one multiview batch with a moving-average early stop.
 
     Returns history rows (step, loss, moving_average). `stop_loss` halts once
-    the 50-step moving average dips below it. Pass `rng` to keep drawing from
-    a caller-owned generator (its end state makes the run resumable).
+    the 50-step moving average dips below it.
     """
-    rng = rng if rng is not None else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     opt = Adam(model.params(), lr=model.config.lr)
     sched = model.sched
     history = []
@@ -590,6 +592,8 @@ def ddim_timesteps(T, steps):
     """Uniform descending sub-schedule T = t_0 > t_1 > ... > t_steps = 0."""
     if steps < 1:
         raise ValueError("need at least one DDIM step")
+    if steps > T:
+        raise ValueError(f"{steps} DDIM steps exceed the schedule's T={T}")
     ts = np.unique(np.round(np.linspace(0, T, steps + 1)).astype(np.int64))
     return ts[::-1]
 
@@ -602,6 +606,12 @@ def ddim_step(z, t_from, t_to, eps_hat, sched: NoiseSchedule):
     return np.sqrt(a_to) * z0_hat + np.sqrt(1.0 - a_to) * eps_hat
 
 
+def check_guidance(guidance):
+    """Reject a guidance scale that is not a finite number >= 0."""
+    if not (math.isfinite(guidance) and guidance >= 0.0):
+        raise ValueError(f"guidance scale must be finite and >= 0, got {guidance}")
+
+
 def ddim_sample(model: MvDenoiser, text_emb, null_emb, steps=50, guidance=7.5,
                 seed=0, z_init=None):
     """Classifier-free-guided DDIM; bitwise deterministic given the seed.
@@ -610,6 +620,7 @@ def ddim_sample(model: MvDenoiser, text_emb, null_emb, steps=50, guidance=7.5,
     the latents twice over, as a batch of two rings conditioned on
     (text, null); guidance 1 needs the conditional branch only.
     """
+    check_guidance(guidance)
     cfg = model.config
     sched = model.sched
     shape = (cfg.f, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w)
@@ -626,6 +637,35 @@ def ddim_sample(model: MvDenoiser, text_emb, null_emb, steps=50, guidance=7.5,
                 eps_hat = eps_u + guidance * (eps_c - eps_u)
             z = ddim_step(z, int(t_from), int(t_to), eps_hat, sched)
     return z
+
+
+# -- gradient check -------------------------------------------------------------------
+
+
+def gradcheck_loss(seed=0):
+    """The miniature model's eps-prediction loss at t=321, for grad_check.
+
+    Builds a 2-view, 4x4-latent, 8-channel denoiser with every cross-view
+    operator and one seeded noised batch. Returns (loss, params): calling
+    `loss()` runs a fresh forward pass and returns the scalar MSE.
+    """
+    config = ModelConfig(f=2, latent_h=4, latent_w=4, channels=8, blocks=1,
+                         text_dim=8, d_state=2, tau=2, rho=4)
+    model = MvDenoiser(config, seed=seed)
+    rng = np.random.default_rng(seed)
+    z0 = rng.standard_normal((config.f, LATENT_CHANNELS, config.latent_h,
+                              config.latent_w)) * 0.5
+    eps = rng.standard_normal(z0.shape)
+    text = ToyTextEncoder(dim=config.text_dim).embed_prompt("a checker cube")
+    t = 321
+    z_t = add_noise(z0, t, eps, model.sched)
+    target = Tensor(eps)
+
+    def loss():
+        diff = model.denoise(z_t, t, text) - target
+        return (diff * diff).mean()
+
+    return loss, model.params()
 
 
 # -- checkpoints -----------------------------------------------------------------------
@@ -668,7 +708,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint manifest {mpath} has no config object")
     try:
         config = ModelConfig(**saved)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint config does not fit ModelConfig: {exc}") from exc
     model = MvDenoiser(config)
     params = model.named_params()

@@ -6,8 +6,8 @@ contiguous blocks, and the whole sequence is scanned in both view orders by
 a diagonal selective SSM. Both orders of every ring in a stack run side by
 side as one recurrence. After the token projections, the scan is a single
 autodiff node, tensor.selective_recurrence, whose state is laid out
-[L, M, N, D] with the channels innermost; its recurrence runs in the
-compiled kernel when built (see _kernel.backend_name).
+[L, M, N, D] with the channels innermost; its recurrence is one numpy loop
+over the sequence (_kernel.linrec_array).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernel import backend_name
 from .geometry import LatentStack
 from .tensor import Tensor, concat, matmul, selective_recurrence, take_rows
 
@@ -34,7 +33,6 @@ __all__ = [
     "selective_scan",
     "rapid_glance",
     "SCAN_STRATEGIES",
-    "backend_name",
 ]
 
 SCAN_STRATEGIES = ("spiral-bidirectional", "spatial-first-bidirectional", "row-major")
@@ -217,7 +215,7 @@ def selective_scan_sequential(x, params: SsmParams):
     return Tensor(y) if isinstance(x, Tensor) else y
 
 
-def selective_scan(x: Tensor, params: SsmParams, chunk=64):
+def selective_scan(x: Tensor, params: SsmParams):
     """Production scan: vectorized coefficients, kernel recurrence, tape-aware.
 
     `x` is one sequence [L, D], or M independent sequences side by side,
@@ -225,9 +223,7 @@ def selective_scan(x: Tensor, params: SsmParams, chunk=64):
     The token projections (delta, B, C) are matmul nodes; decay, input,
     recurrence and readout are one fused node, tensor.selective_recurrence,
     holding the state as [L, M, N, D]. Matches selective_scan_sequential
-    up to vectorization rounding. Output and gradients are bit-identical for
-    every chunk size: chunking splits the kernel's work along L but never
-    changes a per-element operation.
+    up to vectorization rounding.
     """
     D = x.shape[-1]
     rows = x.reshape(-1, D)                                   # [L*M, D]
@@ -237,7 +233,7 @@ def selective_scan(x: Tensor, params: SsmParams, chunk=64):
     c = matmul(rows, params.w_c) + params.b_c                 # [L*M, N]
     L, M = x.shape[0], rows.shape[0] // x.shape[0]
     y = selective_recurrence(delta.reshape(L, M, D), (delta * rows).reshape(L, M, D),
-                             b.reshape(L, M, -1), c.reshape(L, M, -1), a, chunk)
+                             b.reshape(L, M, -1), c.reshape(L, M, -1), a)
     return y.reshape(x.shape)
 
 
@@ -264,7 +260,7 @@ def _glance_plan(b, f, H, W, strategy):
 
 
 def rapid_glance(stack: LatentStack, params: SsmParams,
-                 strategy="spiral-bidirectional", chunk=64):
+                 strategy="spiral-bidirectional"):
     """Bidirectional selective scan over each view ring, plus residual.
 
     Pass one scans a ring's view blocks in ascending order, pass two in
@@ -280,7 +276,7 @@ def rapid_glance(stack: LatentStack, params: SsmParams,
     tokens = stack.data.transpose((0, 2, 3, 1)).reshape(b * L, C)
     src = concat([tokens] * passes, axis=0) if passes > 1 else tokens
     seq = take_rows(src, gather, inverse=scatter).reshape(L, passes * b, C)
-    y = selective_scan(seq, params, chunk)
+    y = selective_scan(seq, params)
     back = take_rows(y.reshape(L * passes * b, C), scatter, inverse=gather)
     if passes > 1:
         back = back.reshape(passes, b * L, C)

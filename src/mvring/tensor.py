@@ -600,26 +600,22 @@ def take_rows(x, idx, inverse=None):
     return out
 
 
-def _reverse_recurrence(a, g, chunk):
+def _reverse_recurrence(a, g):
     """Adjoint of h[l] = a[l] * h[l-1] + u[l]: gh[l] = g[l] + a[l+1] * gh[l+1]."""
     a_rev = np.concatenate([np.ones_like(a[:1]), a[:0:-1]], axis=0)
     g_rev = np.ascontiguousarray(g[::-1])
-    return _kernel.linrec_array(a_rev, g_rev, chunk=chunk)[::-1]
+    return _kernel.linrec_array(a_rev, g_rev)[::-1]
 
 
-def linear_recurrence(a, u, chunk=None):
-    """h[0] = u[0]; h[l] = a[l] * h[l-1] + u[l], elementwise over trailing dims.
-
-    Dispatches to the compiled kernel when available; `chunk` batches the
-    work without changing results.
-    """
+def linear_recurrence(a, u):
+    """h[0] = u[0]; h[l] = a[l] * h[l-1] + u[l], elementwise over trailing dims."""
     if a.data.shape != u.data.shape:
         raise ValueError(f"recurrence shapes differ: {a.data.shape} vs {u.data.shape}")
-    h = _kernel.linrec_array(a.data, u.data, chunk=chunk)
+    h = _kernel.linrec_array(a.data, u.data)
     out = Tensor(h, _parents=(a, u))
 
     def backward(g):
-        gh = _reverse_recurrence(a.data, g, chunk)
+        gh = _reverse_recurrence(a.data, g)
         if u.requires_grad:
             _acc(u, gh)
         if a.requires_grad:
@@ -630,7 +626,7 @@ def linear_recurrence(a, u, chunk=None):
     return out
 
 
-def selective_recurrence(delta, dx, b, c, a, chunk=None):
+def selective_recurrence(delta, dx, b, c, a):
     """Diagonal selective-SSM scan as one node: y[l] = sum_n h[l, n] * c[l, n].
 
     h[l, n, d] = exp(delta[l, d] * a[d, n]) * h[l-1, n, d] + dx[l, d] * b[l, n],
@@ -648,7 +644,7 @@ def selective_recurrence(delta, dx, b, c, a, chunk=None):
     abar = dl * at
     np.exp(abar, out=abar)                                    # [L, M, N, D]
     u = dx.data.reshape(L, M, 1, D) * b.data.reshape(L, M, N, 1)
-    h = _kernel.linrec_array(abar, u, chunk=chunk)
+    h = _kernel.linrec_array(abar, u)
     hc = np.multiply(h, c4, out=u)
     y = hc[:, :, 0].copy()
     for n in range(1, N):
@@ -658,7 +654,7 @@ def selective_recurrence(delta, dx, b, c, a, chunk=None):
     def backward(g):
         if c.requires_grad:
             _acc(c, np.einsum("lmnd,lmd->lmn", h, g))
-        gh = _reverse_recurrence(abar, g.reshape(L, M, 1, D) * c4, chunk)
+        gh = _reverse_recurrence(abar, g.reshape(L, M, 1, D) * c4)
         if dx.requires_grad:
             _acc(dx, np.einsum("lmnd,lmn->lmd", gh, b.data))
         if b.requires_grad:

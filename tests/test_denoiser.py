@@ -385,6 +385,19 @@ class TestDdim:
         b = ddim_sample(model, null, null, steps=4, guidance=1.0, seed=5)
         assert np.allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("guidance", [float("nan"), float("inf"), -1.0])
+    def test_bad_guidance_rejected(self, mini_model, text8, guidance):
+        with pytest.raises(ValueError, match="guidance"):
+            ddim_sample(mini_model, text8, np.zeros_like(text8), steps=2,
+                        guidance=guidance)
+        with pytest.raises(ValueError, match="guidance"):
+            mini_config(guidance=guidance)
+
+    def test_more_steps_than_schedule_rejected(self):
+        assert len(ddim_timesteps(1000, 1000)) == 1001
+        with pytest.raises(ValueError, match="exceed"):
+            ddim_timesteps(1000, 1001)
+
     def test_single_step_oracle_recovers_z0(self, rng):
         sched = NoiseSchedule.linear()
         z0 = rng.standard_normal((2, 3, 4, 4))

@@ -212,7 +212,47 @@ class TestCliPipeline:
         assert "--steps must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "ck").exists()
 
-    @pytest.mark.parametrize("edit", ["unknown_key", "no_config"])
+    @pytest.mark.parametrize("cmd", ["train", "ablate"])
+    def test_log_every_below_one_is_config_error(self, dataset_dir, tmp_path,
+                                                 capsys, cmd):
+        assert main([cmd, "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "o"), "--log-every", "0"]) == 2
+        assert "--log-every must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cmd", ["train", "ablate"])
+    def test_channels_below_one_is_config_error(self, dataset_dir, tmp_path,
+                                                capsys, cmd):
+        assert main([cmd, "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "o"), "--channels", "0"]) == 2
+        assert "channels must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--guidance", "nan"), ("--guidance", "inf"), ("--guidance", "-1"),
+        ("--steps", "1001"), ("--steps", "1000000000000")])
+    def test_bad_sample_args_are_config_errors(self, tmp_path, capsys, flag,
+                                               value):
+        from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
+        ck = tmp_path / "ck"
+        save_checkpoint(MvDenoiser(ModelConfig(f=2, latent_h=4, latent_w=4,
+                                               channels=8)), ck)
+        args = ["sample", "--checkpoint", str(ck), "--prompt", "a cube",
+                "--steps", "2"]
+        assert main(args + ["--out", str(tmp_path / "ok")]) == 0
+        assert main(args + ["--out", str(tmp_path / "s"), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert ("guidance" if flag == "--guidance" else "exceed") in err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--guidance", "nan"),
+                                            ("--sample-steps", "1001")])
+    def test_ablate_bad_sampling_args_fail_before_training(
+            self, dataset_dir, tmp_path, flag, value):
+        assert main(["ablate", "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "o"), flag, value]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit", ["unknown_key", "no_config", "bad_value"])
     def test_bad_checkpoint_config_is_io_error(self, tmp_path, capsys, edit):
         from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
         ck = tmp_path / "ck"
@@ -221,6 +261,8 @@ class TestCliPipeline:
         manifest = json.loads((ck / "checkpoint.json").read_text())
         if edit == "unknown_key":
             manifest["config"]["warp_factor"] = 9
+        elif edit == "bad_value":
+            manifest["config"]["channels"] = 0
         else:
             del manifest["config"]
         (ck / "checkpoint.json").write_text(json.dumps(manifest))
@@ -259,6 +301,12 @@ class TestCliPipeline:
 
     def test_gradcheck_subsampled_passes(self):
         assert main(["gradcheck", "--max-entries", "2"]) == 0
+
+    @pytest.mark.parametrize("entries", ["0", "-1"])
+    def test_gradcheck_max_entries_below_one_is_config_error(self, capsys,
+                                                             entries):
+        assert main(["gradcheck", "--max-entries", entries]) == 2
+        assert "--max-entries must be >= 1" in capsys.readouterr().err
 
     def test_ablate_tiny_smoke(self, dataset_dir, tmp_path):
         out = tmp_path / "abl"

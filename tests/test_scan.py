@@ -1,13 +1,12 @@
 """Spiral ordering, the selective scan and its oracle, and rapid glance."""
 
 import math
-import os
 
 import numpy as np
 import pytest
 
 from mvring import _kernel
-from mvring._kernel import backend_name, linrec_array, linrec_python
+from mvring._kernel import linrec_array
 from mvring.geometry import LatentStack, ViewRing
 from mvring.scan import (ScanOrder, SsmParams, build_scan_order,
                          discretize_zoh, rapid_glance, row_major_order,
@@ -169,14 +168,6 @@ class TestSelectiveScan:
         y = selective_scan(Tensor(np.zeros((9, 4))), p)
         assert np.all(y.data == 0.0)
 
-    def test_chunk_sizes_bit_identical(self, rng):
-        tape = Tape(3)
-        p = make_params(tape, 6, 3)
-        x = Tensor(rng.standard_normal((70, 6)))
-        ref = selective_scan(x, p, chunk=1).data
-        for chunk in (2, 7, 32, 64, None):
-            assert np.array_equal(selective_scan(x, p, chunk=chunk).data, ref)
-
     def test_stability_bound(self, rng):
         tape = Tape(4)
         p = make_params(tape, 4, 3)
@@ -206,7 +197,7 @@ class TestSelectiveScan:
         assert rep.passed, rep
 
 
-def composed_selective_scan(x, params, chunk=64):
+def composed_selective_scan(x, params):
     """The scan built from separate primitives over [L*M, D, N] arrays."""
     L, D = x.shape[0], x.shape[-1]
     N = params.d_state
@@ -219,7 +210,7 @@ def composed_selective_scan(x, params, chunk=64):
     abar = (delta.reshape(n, D, 1) * a.reshape(1, D, N)).exp()
     u = (delta * rows).reshape(n, D, 1) * b.reshape(n, 1, N)
     h = linear_recurrence(abar.reshape(L, n // L * D * N),
-                          u.reshape(L, n // L * D * N), chunk=chunk)
+                          u.reshape(L, n // L * D * N))
     y = (h.reshape(n, D, N) * c.reshape(n, 1, N)).sum(axis=2)
     return y.reshape(x.shape)
 
@@ -237,9 +228,8 @@ class TestFusedScan:
     def test_forward_matches_composed_bitwise(self, rng, shape):
         p = make_params(Tape(13), 6, 4)
         x = Tensor(rng.standard_normal(shape))
-        for chunk in (None, 1, 7, 64):
-            assert np.array_equal(selective_scan(x, p, chunk=chunk).data,
-                                  composed_selective_scan(x, p, chunk=chunk).data)
+        assert np.array_equal(selective_scan(x, p).data,
+                              composed_selective_scan(x, p).data)
 
     @pytest.mark.parametrize("shape", [(40, 6), (40, 3, 6)])
     def test_gradients_match_composed(self, rng, shape):
@@ -250,16 +240,13 @@ class TestFusedScan:
         for g, w in zip(got, want):
             assert np.any(w != 0.0)
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
-        for chunk in (1, 7, None):
-            chunked = scan_grads(lambda x, p: selective_scan(x, p, chunk), x, p)
-            assert all(np.array_equal(g, c) for g, c in zip(got, chunked))
 
     def test_width_axis_gradcheck(self, rng):
         p = make_params(Tape(15), 3, 2)
         x = Tensor(rng.uniform(-1, 1, (6, 2, 3)), requires_grad=True)
 
         def f():
-            y = selective_scan(x, p, chunk=4)
+            y = selective_scan(x, p)
             return (y * y).sum()
 
         rep = grad_check(f, [x] + p.tensors(), eps=1e-6, tol=1e-4)
@@ -406,39 +393,12 @@ def plain_recurrence(a, u):
     return out
 
 
-class TestKernelBackends:
+class TestRecurrenceKernel:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("L", [1, 2, 767])
-    @pytest.mark.parametrize("chunk", [None, 1, 7, 64])
-    def test_kernel_matches_plain_loop(self, rng, dtype, L, chunk):
+    def test_kernel_matches_plain_loop(self, rng, dtype, L):
         a = rng.uniform(0.0, 1.0, (L, 3, 5)).astype(dtype)
         u = rng.standard_normal((L, 3, 5)).astype(dtype)
-        want = plain_recurrence(a, u)
-        got = linrec_array(a, u, chunk=chunk)
+        got = linrec_array(a, u)
         assert got.dtype == dtype
-        assert np.array_equal(got, want)
-        assert np.array_equal(linrec_python(a, u), want)
-
-    def test_python_fallback_matches_active_backend(self, rng):
-        a = rng.uniform(0.0, 1.0, (40, 6))
-        u = rng.standard_normal((40, 6))
-        assert np.array_equal(linrec_array(a, u), linrec_python(a, u))
-
-    @pytest.mark.skipif(backend_name() != "compiled",
-                        reason="compiled kernel not built")
-    def test_compiled_backend_active_bitwise(self, rng):
-        a = rng.uniform(0.0, 1.0, (128, 16)).astype(np.float32)
-        u = rng.standard_normal((128, 16)).astype(np.float32)
-        assert np.array_equal(linrec_array(a, u), linrec_python(a, u))
-
-    def test_chunked_kernel_bitwise(self, rng):
-        a = rng.uniform(0.0, 1.0, (100, 5))
-        u = rng.standard_normal((100, 5))
-        ref = linrec_array(a, u)
-        for chunk in (1, 3, 17, 100, 1000):
-            assert np.array_equal(linrec_array(a, u, chunk=chunk), ref)
-
-    def test_env_override_python(self, rng):
-        env = os.environ.get("MVRING_SCAN_BACKEND")
-        assert backend_name() in ("python", "compiled")
-        assert env in (None, "auto", "python", "compiled")
+        assert np.array_equal(got, plain_recurrence(a, u))
