@@ -393,12 +393,31 @@ def plain_recurrence(a, u):
     return out
 
 
-class TestRecurrenceKernel:
+def blockwise_recurrence(a, u, chunk):
+    """linrec_array over blocks of `chunk` rows (None: one call).
+
+    Each block starts from h = 0, so the state the previous block ended in
+    is folded into the block's first input row: a[s] * h + u[s].
+    """
+    if chunk is None:
+        return linrec_array(a, u)
+    out = np.empty_like(u)
+    h = np.zeros_like(u[0])
+    for s in range(0, u.shape[0], chunk):
+        ub = u[s:s + chunk].copy()
+        ub[0] = a[s] * h + ub[0]
+        out[s:s + chunk] = linrec_array(a[s:s + chunk], ub)
+        h = out[s + ub.shape[0] - 1]
+    return out
+
+
+class TestKernelBackends:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("L", [1, 2, 767])
-    def test_kernel_matches_plain_loop(self, rng, dtype, L):
+    @pytest.mark.parametrize("chunk", [None, 1, 7, 64])
+    def test_kernel_matches_plain_loop(self, rng, dtype, L, chunk):
         a = rng.uniform(0.0, 1.0, (L, 3, 5)).astype(dtype)
         u = rng.standard_normal((L, 3, 5)).astype(dtype)
-        got = linrec_array(a, u)
+        got = blockwise_recurrence(a, u, chunk)
         assert got.dtype == dtype
         assert np.array_equal(got, plain_recurrence(a, u))
