@@ -21,8 +21,8 @@ from .geometry import (LatentStack, PixelCorrespondence, ViewRing,
                        project_rotated_x_simplified, trajectory_window)
 from .metrics import consistency_metric, psnr, write_ppm
 from .scan import (ScanOrder, SsmParams, build_scan_order, discretize_zoh,
-                   rapid_glance, sbscan_permute, sbscan_restore,
-                   selective_scan, selective_scan_sequential, spiral_order)
+                   rapid_glance, selective_scan, selective_scan_sequential,
+                   spiral_order)
 from .tensor import (Tape, Tensor, avg_pool2d, bilinear_upsample2d, grad_check,
                      linear_recurrence, load_mvt, save_mvt, softmax)
 
@@ -41,8 +41,8 @@ __all__ = [
     "project_rotated_x", "project_rotated_x_simplified", "trajectory_window",
     "consistency_metric", "psnr", "write_ppm",
     "ScanOrder", "SsmParams", "build_scan_order", "discretize_zoh",
-    "rapid_glance", "sbscan_permute", "sbscan_restore", "selective_scan",
-    "selective_scan_sequential", "spiral_order",
+    "rapid_glance", "selective_scan", "selective_scan_sequential",
+    "spiral_order",
     "Tape", "Tensor", "avg_pool2d", "bilinear_upsample2d", "grad_check",
     "linear_recurrence", "load_mvt", "save_mvt", "softmax",
     "__version__",

@@ -57,9 +57,6 @@ class AttentionParams:
     def channels(self):
         return self.w_q.shape[0]
 
-    def tensors(self):
-        return [self.w_q, self.w_k, self.w_v, self.w_o]
-
     @classmethod
     def init(cls, tape, prefix, channels, n_heads=1, kv_dim=None, out_scale=None,
              seed=None):
@@ -243,9 +240,6 @@ class ScoreMapper:
     @property
     def in_dim(self):
         return self.w1.shape[0]
-
-    def tensors(self):
-        return [self.w1, self.b1, self.w2, self.b2]
 
     @classmethod
     def init(cls, tape, prefix, channels, text_dim, hidden=None):

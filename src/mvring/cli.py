@@ -38,10 +38,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _deterministic():
-    return os.environ.get("MV_TEST_DETERMINISTIC", "") == "1"
-
-
 def _fmt(x):
     if x is None or x == "":
         return ""
@@ -64,8 +60,6 @@ def _write_csv(path, rows):
 
 
 def _write_manifest(path, payload):
-    payload = dict(payload)
-    payload["deterministic"] = _deterministic()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -84,13 +78,6 @@ def parse_stack(text):
     return {f"enable_{t}": (t in tokens) for t in STACK_TOKENS}
 
 
-def _load_dataset(path):
-    try:
-        return dat.load_dataset(path)
-    except dat.DatasetError as exc:
-        raise CliError(str(exc), EXIT_IO)
-
-
 def _check_image_dims(w, h):
     if w % dn.LATENT_FACTOR or h % dn.LATENT_FACTOR:
         raise CliError(f"image dims {w}x{h} are not divisible by the latent "
@@ -99,21 +86,18 @@ def _check_image_dims(w, h):
 
 def _build_config(manifest, args, stack_flags, scan):
     _check_image_dims(manifest["W"], manifest["H"])
-    try:
-        return dn.ModelConfig(
-            f=manifest["f"],
-            latent_h=manifest["H"] // dn.LATENT_FACTOR,
-            latent_w=manifest["W"] // dn.LATENT_FACTOR,
-            channels=args.channels,
-            blocks=args.blocks,
-            elevation_deg=manifest["elevation_deg"],
-            distance=manifest["distance"],
-            scan_strategy=scan,
-            lr=args.lr,
-            **stack_flags,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_CONFIG)
+    return dn.ModelConfig(
+        f=manifest["f"],
+        latent_h=manifest["H"] // dn.LATENT_FACTOR,
+        latent_w=manifest["W"] // dn.LATENT_FACTOR,
+        channels=args.channels,
+        blocks=args.blocks,
+        elevation_deg=manifest["elevation_deg"],
+        distance=manifest["distance"],
+        scan_strategy=scan,
+        lr=args.lr,
+        **stack_flags,
+    )
 
 
 def _training_batch(rset, manifest):
@@ -140,12 +124,8 @@ def _train_one(rset, manifest, args, stack_flags, scan, seed):
     config = _build_config(manifest, args, stack_flags, scan)
     model = dn.MvDenoiser(config, seed=seed)
     batch = _training_batch(rset, manifest)
-    try:
-        history = dn.train_loop(batch, model, seed=seed, max_steps=args.steps,
-                                stop_loss=args.stop_loss,
-                                log_every=args.log_every)
-    except dn.TrainingDiverged as exc:
-        raise CliError(str(exc), EXIT_INVARIANT)
+    history = dn.train_loop(batch, model, seed=seed, max_steps=args.steps,
+                            stop_loss=args.stop_loss, log_every=args.log_every)
     return model, batch, history
 
 
@@ -191,10 +171,8 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     _check_train_args(args)
-    rset, manifest = _load_dataset(args.dataset)
+    rset, manifest = dat.load_dataset(args.dataset)
     stack_flags = parse_stack(args.stack)
-    if args.scan not in SCAN_STRATEGIES:
-        raise CliError(f"unknown scan strategy {args.scan!r}", EXIT_CONFIG)
     model, batch, history = _train_one(rset, manifest, args, stack_flags,
                                        args.scan, args.seed)
     stack = model.config.stack
@@ -214,10 +192,7 @@ def cmd_train(args):
 
 
 def cmd_sample(args):
-    try:
-        model, manifest = dn.load_checkpoint(args.checkpoint)
-    except dn.CheckpointError as exc:
-        raise CliError(str(exc), EXIT_IO)
+    model, manifest = dn.load_checkpoint(args.checkpoint)
     prompt = args.prompt
     if not prompt:
         extra = manifest.get("extra")
@@ -258,12 +233,8 @@ def cmd_gradcheck(args):
 
 
 def cmd_eval(args):
-    rset, _ = _load_dataset(args.dataset)
-    lpath = os.path.join(args.samples, "latents.mvt")
-    try:
-        z = load_mvt(lpath)
-    except (FileNotFoundError, MvtError) as exc:
-        raise CliError(f"cannot read sampled latents: {exc}", EXIT_IO)
+    rset, _ = dat.load_dataset(args.dataset)
+    z = load_mvt(os.path.join(args.samples, "latents.mvt"))
     images = dn.decode_latents(z)
     if images.shape != rset.images.shape:
         raise CliError(f"samples decode to {images.shape}, dataset is "
@@ -282,7 +253,7 @@ def cmd_ablate(args):
     # reject bad sampling flags before training, not after
     dn.check_guidance(args.guidance)
     dn.ddim_timesteps(dn.ModelConfig.T, args.sample_steps)
-    rset, manifest = _load_dataset(args.dataset)
+    rset, manifest = dat.load_dataset(args.dataset)
     stacks = [s.strip() for s in args.stacks.split(",") if s.strip()]
     scans = [s.strip() for s in args.scans.split(",") if s.strip()]
     for s in scans:

@@ -232,6 +232,10 @@ class ModelConfig:
             raise ValueError("p_2d and p_drop must lie in [0, 1]")
         if self.channels < 1:
             raise ValueError(f"channels must be >= 1, got {self.channels}")
+        if self.blocks < 1:
+            raise ValueError(f"blocks must be >= 1, got {self.blocks}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         check_guidance(self.guidance)
 
     @property
@@ -560,6 +564,9 @@ def train_loop(batch, model, seed=0, max_steps=20000, stop_loss=None,
     Returns history rows (step, loss, moving_average). `stop_loss` halts once
     the 50-step moving average dips below it.
     """
+    if max_steps < 1 or log_every < 1:
+        raise ValueError(f"max_steps and log_every must be >= 1, got "
+                         f"{max_steps} and {log_every}")
     rng = np.random.default_rng(seed)
     opt = Adam(model.params(), lr=model.config.lr)
     sched = model.sched

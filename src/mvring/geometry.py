@@ -83,10 +83,6 @@ class LatentStack:
     def channels(self):
         return self.data.shape[1]
 
-    @property
-    def spatial(self):
-        return self.data.shape[2], self.data.shape[3]
-
     def with_data(self, data):
         return LatentStack(data, self.ring)
 

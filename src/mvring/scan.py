@@ -26,8 +26,6 @@ __all__ = [
     "spiral_order",
     "row_major_order",
     "build_scan_order",
-    "sbscan_permute",
-    "sbscan_restore",
     "discretize_zoh",
     "selective_scan_sequential",
     "selective_scan",
@@ -74,22 +72,18 @@ def row_major_order(H, W):
 class ScanOrder:
     """Bijection between (view, row, col) token positions and sequence slots.
 
-    perm[s] is the flat token index (v*H*W + r*W + c) read at sequence slot s;
-    inv is its inverse. Each view's tokens form one contiguous block.
+    perm[s] is the flat token index (v*H*W + r*W + c) read at sequence slot s.
+    Each view's tokens form one contiguous block.
     """
 
     f: int
     tokens_per_view: int
     perm: np.ndarray
-    inv: np.ndarray
 
     def reversed_views(self):
         """Same spatial order, view blocks concatenated in descending order."""
         blocks = self.perm.reshape(self.f, self.tokens_per_view)[::-1]
-        perm = blocks.reshape(-1)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(perm.size)
-        return ScanOrder(self.f, self.tokens_per_view, perm, inv)
+        return ScanOrder(self.f, self.tokens_per_view, blocks.reshape(-1))
 
 
 def build_scan_order(f, H, W, strategy="spiral-bidirectional"):
@@ -100,31 +94,7 @@ def build_scan_order(f, H, W, strategy="spiral-bidirectional"):
         else row_major_order(H, W)
     hw = H * W
     perm = (np.arange(f, dtype=np.int64)[:, None] * hw + spatial[None, :]).reshape(-1)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    return ScanOrder(f=f, tokens_per_view=hw, perm=perm, inv=inv)
-
-
-def sbscan_permute(stack: LatentStack, order: ScanOrder, reverse_views=False):
-    """Flatten a latent stack to a [f*H*W, C] token sequence in scan order."""
-    f, C, H, W = stack.data.shape
-    if order.f != f or order.tokens_per_view != H * W:
-        raise ValueError(
-            f"scan order built for f={order.f}, {order.tokens_per_view} "
-            f"tokens/view; stack has f={f}, {H * W}")
-    if reverse_views:
-        order = order.reversed_views()
-    tokens = stack.data.transpose((0, 2, 3, 1)).reshape(f * H * W, C)
-    return take_rows(tokens, order.perm, inverse=order.inv)
-
-
-def sbscan_restore(seq: Tensor, order: ScanOrder, stack_shape, reverse_views=False):
-    """Inverse of sbscan_permute back to a [f, C, H, W] tensor."""
-    f, C, H, W = stack_shape
-    if reverse_views:
-        order = order.reversed_views()
-    tokens = take_rows(seq, order.inv, inverse=order.perm)
-    return tokens.reshape(f, H, W, C).transpose((0, 3, 1, 2))
+    return ScanOrder(f=f, tokens_per_view=hw, perm=perm)
 
 
 # -- selective state space model ------------------------------------------------

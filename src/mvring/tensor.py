@@ -3,10 +3,10 @@
 Tensors wrap numpy arrays (float64 by default, float32 supported) and record
 a dynamic graph over a closed primitive set: matmul, elementwise arithmetic,
 exp/log/sqrt/sigmoid/softplus, softmax, layer norm, reductions,
-reshape/transpose/concat, basic slicing, row gather, zero padding, 3x3
-unfolding, average pooling, bilinear upsampling, a first-order linear
-recurrence, and the selective-SSM recurrence beneath the scan as one node
-with a hand-written backward. `backward` replays the graph in a fixed
+reshape/transpose/concat, basic slicing, row gather, 3x3 unfolding,
+average pooling, bilinear upsampling, a first-order linear recurrence,
+and the selective-SSM recurrence beneath the scan as one node with a
+hand-written backward. `backward` replays the graph in a fixed
 topological order, so repeated backward passes are bit-identical. Inside
 `no_grad()` no graph is recorded: results hold no parents and no backward
 closure.
@@ -18,7 +18,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "layer_norm",
     "avg_pool2d",
     "bilinear_upsample2d",
-    "pad2d",
     "unfold3x3",
     "take_rows",
     "linear_recurrence",
@@ -148,12 +147,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -545,19 +538,6 @@ def bilinear_upsample2d(x, factor):
     return out
 
 
-def pad2d(x, pad):
-    """Zero-pad the last two dims by `pad` on every side."""
-    widths = [(0, 0)] * (x.ndim - 2) + [(pad, pad), (pad, pad)]
-    out = Tensor(np.pad(x.data, widths), _parents=(x,))
-
-    def backward(g):
-        sl = (Ellipsis, slice(pad, -pad), slice(pad, -pad))
-        _acc(x, g[sl])
-
-    out._backward = backward if out.requires_grad else None
-    return out
-
-
 def unfold3x3(x):
     """Stack the 9 same-padded 3x3 shifts of [..., C, H, W] along channels.
 
@@ -696,9 +676,6 @@ class Tape:
     def zeros(self, name, shape):
         return self.param(name, np.zeros(shape))
 
-    def full(self, name, shape, value):
-        return self.param(name, np.full(shape, value, dtype=np.float64))
-
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
@@ -719,7 +696,6 @@ class GradCheckReport:
     tol: float
     n_checked: int
     worst: tuple = ()
-    per_param: dict = field(default_factory=dict)
 
     @property
     def passed(self):
@@ -746,7 +722,6 @@ def grad_check(f, params, eps=1e-5, tol=1e-4, max_entries=None, rng=None):
     max_rel = 0.0
     worst = ()
     n_checked = 0
-    per_param = {}
     for k, p in enumerate(params):
         flat = p.data.reshape(-1)
         n = flat.size
@@ -757,7 +732,6 @@ def grad_check(f, params, eps=1e-5, tol=1e-4, max_entries=None, rng=None):
                 sel = np.linspace(0, n - 1, max_entries).astype(np.int64)
         else:
             sel = np.arange(n)
-        p_max = 0.0
         for i in sel:
             old = flat[i]
             flat[i] = old + eps
@@ -771,14 +745,11 @@ def grad_check(f, params, eps=1e-5, tol=1e-4, max_entries=None, rng=None):
             a = float(analytic[k].reshape(-1)[i])
             rel = abs(a - fd) / max(1.0, abs(a), abs(fd))
             n_checked += 1
-            if rel > p_max:
-                p_max = rel
             if rel > max_rel:
                 max_rel = rel
                 worst = (k, int(i), a, fd)
-        per_param[k] = p_max
     return GradCheckReport(max_rel_err=max_rel, tol=tol, n_checked=n_checked,
-                           worst=worst, per_param=per_param)
+                           worst=worst)
 
 
 # -- .mvt binary tensor files ---------------------------------------------------------

@@ -15,8 +15,8 @@ from mvring.attention import AirConfig, AttentionParams, adjacent_attention, air
 from mvring.cli import main
 from mvring.data import make_scene, render_views, ground_truth_correspondence
 from mvring.geometry import LatentStack, ViewRing, delta_azimuth, trajectory_window
-from mvring.scan import (SsmParams, build_scan_order, row_major_order,
-                         sbscan_permute, sbscan_restore, selective_scan,
+from mvring.scan import (SsmParams, _glance_plan, build_scan_order,
+                         row_major_order, selective_scan,
                          selective_scan_sequential, spiral_order)
 from mvring.tensor import Tape, Tensor, grad_check
 
@@ -58,14 +58,21 @@ def test_criterion_2_spiral_bijection_and_roundtrip():
             ok &= sorted(order.tolist()) == list(range(h * w))
     rng = np.random.default_rng(1002)
     for f in (1, 2, 3, 12):
-        ring = ViewRing(f=f, W=4, H=4)
-        stack = LatentStack(Tensor(rng.standard_normal((f, 6, 4, 4))), ring)
         order = build_scan_order(f, 4, 4)
-        for rev in (False, True):
-            seq = sbscan_permute(stack, order, reverse_views=rev)
-            back = sbscan_restore(seq, order, stack.data.shape, reverse_views=rev)
-            ok &= np.array_equal(back.data, stack.data.data)
-    report(2, "spiral bijection + sbscan round trip", ok)
+        orders = (order, order.reversed_views())
+        L = f * 16
+        for b in (1, 2):
+            passes, gather, scatter = _glance_plan(b, f, 4, 4,
+                                                   "spiral-bidirectional")
+            tokens = rng.standard_normal((b * L, 6))
+            src = np.concatenate([tokens] * passes)
+            seq = src[gather]
+            ok &= passes == 2 and np.array_equal(seq[scatter], src)
+            seq = seq.reshape(L, passes * b, 6)
+            for p, o in enumerate(orders):
+                for r in range(b):
+                    ok &= np.array_equal(seq[:, p * b + r], tokens[r * L + o.perm])
+    report(2, "spiral bijection + glance plan round trip", ok)
 
 
 # -- 3: attention reductions -----------------------------------------------------------
@@ -237,7 +244,6 @@ def _read_ablation(path):
 
 @pytest.fixture(scope="module")
 def ablation_runs(tmp_path_factory):
-    os.environ["MV_TEST_DETERMINISTIC"] = "1"
     base = tmp_path_factory.mktemp("accept")
     ds = base / "dataset"
     assert main(["gen-data", "--out", str(ds), "--seed", "0",
@@ -250,8 +256,7 @@ def ablation_runs(tmp_path_factory):
                     + ABLATE_ARGS) == 0
         runs.append(out)
     elapsed = time.perf_counter() - t0
-    yield runs[0], runs[1], elapsed
-    os.environ.pop("MV_TEST_DETERMINISTIC", None)
+    return runs[0], runs[1], elapsed
 
 
 def test_criterion_7_overfit_ablation_trend(ablation_runs):

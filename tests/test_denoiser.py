@@ -320,6 +320,18 @@ class TestTrainingStep:
         with np.errstate(invalid="ignore"), pytest.raises(TrainingDiverged):
             training_step(batch, model, model.sched, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("kw", [{"max_steps": 0}, {"log_every": 0},
+                                    {"log_every": -1}])
+    def test_train_loop_rejects_nonpositive_counts(self, kw, text8):
+        model = MvDenoiser(mini_config(), seed=9)
+        z0 = np.zeros((2, 3, 4, 4))
+        batch = {"z0": z0, "text": text8, "null": np.zeros_like(text8)}
+        before = [p.data.copy() for p in model.params()]
+        with pytest.raises(ValueError, match="max_steps and log_every"):
+            train_loop(batch, model, seed=0, **kw)
+        assert all(np.array_equal(a, p.data)
+                   for a, p in zip(before, model.params()))
+
     def test_loss_decreases_on_tiny_overfit(self, text8):
         model = MvDenoiser(mini_config(), seed=9)
         rng = np.random.default_rng(3)

@@ -228,6 +228,26 @@ class TestCliPipeline:
         assert "channels must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [
+        ("--blocks", "0"), ("--blocks", "-1"), ("--lr", "nan"), ("--lr", "inf"),
+        ("--lr", "0"), ("--lr", "-1")])
+    def test_bad_model_flags_are_config_errors(self, dataset_dir, tmp_path,
+                                               capsys, flag, value):
+        assert main(["train", "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "ck"), "--stack", "aa",
+                     "--steps", "3", flag, value]) == 2
+        assert f"{flag[2:]} must be" in capsys.readouterr().err
+        assert not (tmp_path / "ck").exists()
+
+    def test_diverged_training_is_invariant_error(self, dataset_dir, tmp_path,
+                                                  capsys):
+        with np.errstate(all="ignore"):
+            assert main(["train", "--dataset", str(dataset_dir),
+                         "--out", str(tmp_path / "ck"), "--lr", "1e300",
+                         "--steps", "5", "--stack", "aa",
+                         "--channels", "8"]) == 4
+        assert "invariant violated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
         ("--guidance", "nan"), ("--guidance", "inf"), ("--guidance", "-1"),
         ("--steps", "1001"), ("--steps", "1000000000000")])
     def test_bad_sample_args_are_config_errors(self, tmp_path, capsys, flag,
@@ -252,7 +272,8 @@ class TestCliPipeline:
                      "--out", str(tmp_path / "o"), flag, value]) == 2
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("edit", ["unknown_key", "no_config", "bad_value"])
+    @pytest.mark.parametrize("edit", ["unknown_key", "no_config", "bad_value",
+                                      "zero_blocks"])
     def test_bad_checkpoint_config_is_io_error(self, tmp_path, capsys, edit):
         from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
         ck = tmp_path / "ck"
@@ -263,6 +284,8 @@ class TestCliPipeline:
             manifest["config"]["warp_factor"] = 9
         elif edit == "bad_value":
             manifest["config"]["channels"] = 0
+        elif edit == "zero_blocks":
+            manifest["config"]["blocks"] = 0
         else:
             del manifest["config"]
         (ck / "checkpoint.json").write_text(json.dumps(manifest))
@@ -298,6 +321,13 @@ class TestCliPipeline:
         (sm / "latents.mvt").write_bytes(b"garbage")
         assert main(["eval", "--dataset", str(dataset_dir),
                      "--samples", str(sm)]) == 3
+
+    def test_missing_samples_eval_error(self, dataset_dir, tmp_path, capsys):
+        sm = tmp_path / "s"
+        sm.mkdir()
+        assert main(["eval", "--dataset", str(dataset_dir),
+                     "--samples", str(sm)]) == 3
+        assert "latents.mvt" in capsys.readouterr().err
 
     def test_gradcheck_subsampled_passes(self):
         assert main(["gradcheck", "--max-entries", "2"]) == 0

@@ -8,9 +8,9 @@ import pytest
 from mvring import _kernel
 from mvring._kernel import linrec_array
 from mvring.geometry import LatentStack, ViewRing
-from mvring.scan import (ScanOrder, SsmParams, build_scan_order,
-                         discretize_zoh, rapid_glance, row_major_order,
-                         sbscan_permute, sbscan_restore, selective_scan,
+from mvring.scan import (SCAN_STRATEGIES, SsmParams, _glance_plan,
+                         build_scan_order, discretize_zoh, rapid_glance,
+                         row_major_order, selective_scan,
                          selective_scan_sequential, spiral_order)
 from mvring.tensor import (Tape, Tensor, grad_check, linear_recurrence, matmul,
                            no_grad)
@@ -72,13 +72,13 @@ class TestSpiralOrder:
 class TestScanOrder:
     @pytest.mark.parametrize("f", [1, 2, 3, 12])
     def test_roundtrip_bitwise(self, f, rng):
-        ring = ViewRing(f=f, W=4, H=4)
-        stack = LatentStack(Tensor(rng.standard_normal((f, 5, 4, 4))), ring)
-        order = build_scan_order(f, 4, 4)
-        for rev in (False, True):
-            seq = sbscan_permute(stack, order, reverse_views=rev)
-            back = sbscan_restore(seq, order, stack.data.shape, reverse_views=rev)
-            assert np.array_equal(back.data, stack.data.data)
+        for strategy in SCAN_STRATEGIES:
+            for b in (1, 2):
+                passes, gather, scatter = _glance_plan(b, f, 4, 4, strategy)
+                assert passes == (1 if strategy == "row-major" else 2)
+                src = rng.standard_normal((passes * b * f * 16, 5))
+                assert np.array_equal(src[gather][scatter], src)
+                assert np.array_equal(gather[scatter], np.arange(gather.size))
 
     def test_view_blocks_contiguous_and_reversed(self, rng):
         f, h, w = 3, 2, 2
@@ -89,24 +89,27 @@ class TestScanOrder:
         rev = order.reversed_views()
         want_rev = np.concatenate([v * 4 + spatial for v in (2, 1, 0)])
         assert np.array_equal(rev.perm, want_rev)
-        # index bookkeeping oracle: token of view v appears in block 2-v
-        stack = LatentStack(Tensor(rng.standard_normal((3, 1, 2, 2))),
-                            ViewRing(f=3, W=2, H=2))
-        seq = sbscan_permute(stack, order, reverse_views=True).data
-        tokens = stack.data.data.transpose(0, 2, 3, 1).reshape(12, 1)
-        for s in range(12):
-            assert seq[s, 0] == tokens[want_rev[s], 0]
+        # index bookkeeping oracle: column p*b + r of the [L, P*b, C] scan
+        # input reads ring r's tokens in pass p's order
+        for strategy in ("spiral-bidirectional", "row-major"):
+            order = build_scan_order(f, h, w, strategy)
+            orders = (order,) if strategy == "row-major" \
+                else (order, order.reversed_views())
+            for b in (1, 2):
+                passes, gather, _ = _glance_plan(b, f, h, w, strategy)
+                tokens = rng.standard_normal((b * 12, 2))
+                src = np.concatenate([tokens] * passes)
+                seq = src[gather].reshape(12, passes * b, 2)
+                for p, o in enumerate(orders):
+                    for r in range(b):
+                        assert np.array_equal(seq[:, p * b + r],
+                                              tokens[r * 12 + o.perm])
 
     def test_inverse_composition_is_identity(self):
-        order = build_scan_order(5, 3, 3)
-        assert np.array_equal(order.inv[order.perm], np.arange(45))
-
-    def test_dim_mismatch_rejected(self, rng):
-        order = build_scan_order(2, 4, 4)
-        ring = ViewRing(f=2, W=2, H=2)
-        stack = LatentStack(Tensor(rng.standard_normal((2, 3, 2, 2))), ring)
-        with pytest.raises(ValueError, match="scan order"):
-            sbscan_permute(stack, order)
+        for strategy in SCAN_STRATEGIES:
+            order = build_scan_order(5, 3, 3, strategy)
+            for o in (order, order.reversed_views()):
+                assert np.array_equal(np.sort(o.perm), np.arange(45))
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):
@@ -322,12 +325,11 @@ class TestRapidGlance:
         got = rapid_glance(stack, p).data.data
 
         order = build_scan_order(3, 4, 4)
-        fwd = sbscan_restore(selective_scan(sbscan_permute(stack, order), p),
-                             order, z.shape).data
-        rev = sbscan_restore(
-            selective_scan(sbscan_permute(stack, order, reverse_views=True), p),
-            order, z.shape, reverse_views=True).data
-        want = 0.5 * (fwd + rev) + z.data
+        flat = z.data.transpose(0, 2, 3, 1).reshape(48, 4)
+        total = np.zeros_like(flat)
+        for o in (order, order.reversed_views()):
+            total[o.perm] += selective_scan(Tensor(flat[o.perm]), p).data
+        want = (0.5 * total).reshape(3, 4, 4, 4).transpose(0, 3, 1, 2) + z.data
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_channel_mismatch_rejected(self, rng):
@@ -346,8 +348,10 @@ class TestRapidGlance:
         stack = LatentStack(z, ring)
         got = rapid_glance(stack, p, strategy="row-major").data.data
         order = build_scan_order(2, 2, 2, "row-major")
-        want = sbscan_restore(selective_scan(sbscan_permute(stack, order), p),
-                              order, z.shape).data + z.data
+        flat = z.data.transpose(0, 2, 3, 1).reshape(8, 4)
+        total = np.zeros_like(flat)
+        total[order.perm] += selective_scan(Tensor(flat[order.perm]), p).data
+        want = total.reshape(2, 2, 2, 4).transpose(0, 3, 1, 2) + z.data
         assert np.max(np.abs(got - want)) < 1e-14
 
 

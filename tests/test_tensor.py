@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mvring.tensor import (MvtError, Tape, Tensor, _sigmoid, avg_pool2d,
                            bilinear_upsample2d, concat, grad_check, layer_norm,
-                           linear_recurrence, load_mvt, matmul, no_grad, pad2d,
+                           linear_recurrence, load_mvt, matmul, no_grad,
                            save_mvt, softmax, take_rows, unfold3x3)
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -191,7 +191,7 @@ class TestAutodiff:
         lambda x: softmax(x, axis=-1).sum(axis=0).sum(),
         lambda x: (x.transpose((1, 0)) * 2.0).sum(),
         lambda x: x.reshape(6)[1:4].sum(),
-        lambda x: avg_pool2d(pad2d(x, 1)[:, :4], 2).sum(),
+        lambda x: avg_pool2d((x * x)[:, 1:], 2).sum(),
         lambda x: bilinear_upsample2d(x, 3).mean(),
         lambda x: (unfold3x3(x.reshape(1, 1, 2, 3)) *
                    unfold3x3(x.reshape(1, 1, 2, 3))).sum(),
