@@ -4,10 +4,11 @@ Latents are 4x average-pooled RGB images rescaled to [-1, 1]; there is no
 learned autoencoder. The denoiser is a small conv/attention stack applied
 per view, with four cross-view operators threaded between the per-view
 layers: adjacent attention, trajectory-window attention, the bidirectional
-spiral scan, and score-pooled all-view rectification. Training minimizes
-the usual eps-prediction MSE; sampling is deterministic DDIM with
-classifier-free guidance, evaluating both guidance branches as one batch
-of two rings without recording an autodiff graph.
+spiral scan, and score-pooled all-view rectification. Text conditioning is
+a per-ring shift, the whole of cross-attention onto a one-token prompt.
+Training minimizes the usual eps-prediction MSE; sampling is deterministic
+DDIM with classifier-free guidance, evaluating both guidance branches as
+one batch of two rings without recording an autodiff graph.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .attention import (AirConfig, AttentionParams, ScoreMapper,
-                        adjacent_attention, air_attention, score_map, sdpa,
-                        trajectory_attention, _to_maps, _to_tokens)
+                        adjacent_attention, air_attention, score_map,
+                        trajectory_attention)
 from .geometry import LatentStack, ViewRing
-from .scan import SsmParams, rapid_glance
+from .scan import SCAN_STRATEGIES, SsmParams, rapid_glance
 from .tensor import (MvtError, Tape, Tensor, bilinear_upsample2d, concat,
                      layer_norm, load_mvt, matmul, no_grad, save_mvt, unfold3x3)
 
@@ -221,7 +222,6 @@ class ModelConfig:
     scan_strategy: str = "spiral-bidirectional"
     p_2d: float = 0.4
     p_drop: float = 0.1
-    guidance: float = 7.5
     T: int = 1000
     elevation_deg: float = 0.0
     distance: float = 2.0
@@ -236,7 +236,8 @@ class ModelConfig:
             raise ValueError(f"blocks must be >= 1, got {self.blocks}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        check_guidance(self.guidance)
+        if self.scan_strategy not in SCAN_STRATEGIES:
+            raise ValueError(f"unknown scan strategy {self.scan_strategy!r}")
 
     @property
     def stack(self):
@@ -347,29 +348,32 @@ def res_block(x, emb, p: ResBlockParams):
     return x + h
 
 
-def cross_attention(x, text_emb, norm: NormParams, params: AttentionParams):
-    """Per-view attention of spatial tokens onto their ring's prompt token.
+@dataclass
+class TextShiftParams:
+    w_v: Tensor
+    w_o: Tensor
+
+
+def cross_attention(x, text_emb, norm, params):
+    """Attention of each view onto its ring's prompt token, plus residual.
 
     `x` is [B*f, C, H, W]; `text_emb` is one embedding [text_dim], or one per
-    ring [B, text_dim].
+    ring [B, text_dim]. The encoder pools a prompt into one token, and with
+    one key the softmax weight is exactly 1, so this is x + (e_r @ w_v) @ w_o
+    for ring r. `norm`, `params.w_q` and `params.w_k` are never read.
     """
-    n, c, h, w = x.shape
     e = np.asarray(text_emb, dtype=x.dtype)
     e = Tensor(e.reshape(-1, e.shape[-1]))                    # [B, text_dim]
-    b = e.shape[0]
-    tokens = _to_tokens(channel_norm(x, norm.gain, norm.bias))
-    q = matmul(tokens, params.w_q).reshape(b, n // b * h * w, c)  # per ring
-    k = matmul(e, params.w_k).reshape(b, 1, c)
-    v = matmul(e, params.w_v).reshape(b, 1, c)
-    out = matmul(sdpa(q, k, v).reshape(n, h * w, c), params.w_o)
-    return _to_maps(out, h, w)
+    shift = matmul(matmul(e, params.w_v), params.w_o)         # [B, C]
+    b, c = shift.shape
+    rings = x.reshape(b, -1, *x.shape[1:]) + shift.reshape(b, 1, c, 1, 1)
+    return rings.reshape(x.shape)
 
 
 @dataclass
 class BlockParams:
     res: ResBlockParams
-    ca_norm: NormParams
-    ca: AttentionParams
+    ca: TextShiftParams
     aa_norm: NormParams = None
     aa: AttentionParams = None
     dr_norm: NormParams = None
@@ -409,9 +413,9 @@ class MvDenoiser:
             pre = f"block{b}"
             blk = BlockParams(
                 res=ResBlockParams.init(t, f"{pre}.res", c),
-                ca_norm=NormParams.init(t, f"{pre}.ca_norm", c),
-                ca=AttentionParams.init(t, f"{pre}.ca", c, config.n_heads,
-                                        kv_dim=config.text_dim),
+                ca=TextShiftParams(t.normal(f"{pre}.ca.w_v", (config.text_dim, c),
+                                            1.0 / math.sqrt(config.text_dim)),
+                                   t.zeros(f"{pre}.ca.w_o", (c, c))),
             )
             if config.enable_aa:
                 blk.aa_norm = NormParams.init(t, f"{pre}.aa_norm", c)
@@ -482,7 +486,7 @@ class MvDenoiser:
         x = conv3x3(x, self.stem.w, self.stem.b)
         for blk in self.blocks:
             x = res_block(x, emb, blk.res)
-            x = x + cross_attention(x, text_emb, blk.ca_norm, blk.ca)
+            x = cross_attention(x, text_emb, None, blk.ca)
             if not mode_2d:
                 if cfg.enable_aa:
                     nx = channel_norm(x, blk.aa_norm.gain, blk.aa_norm.bias)
@@ -714,10 +718,9 @@ def load_checkpoint(path):
     if not isinstance(saved, dict):
         raise CheckpointError(f"checkpoint manifest {mpath} has no config object")
     try:
-        config = ModelConfig(**saved)
+        model = MvDenoiser(ModelConfig(**saved))
     except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint config does not fit ModelConfig: {exc}") from exc
-    model = MvDenoiser(config)
+        raise CheckpointError(f"checkpoint config does not build the model: {exc}") from exc
     params = model.named_params()
     listed = manifest.get("param_names", [])
     if sorted(listed) != sorted(params):

@@ -702,13 +702,12 @@ class GradCheckReport:
         return self.max_rel_err <= self.tol
 
 
-def grad_check(f, params, eps=1e-5, tol=1e-4, max_entries=None, rng=None):
+def grad_check(f, params, eps=1e-5, tol=1e-4, max_entries=None):
     """Compare tape gradients of scalar `f()` against central finite differences.
 
     `params` is a list of requires_grad tensors read by `f`. Relative error is
     |a - fd| / max(1, |a|, |fd|), so near-zero gradients compare absolutely.
-    `max_entries` caps the number of coordinates checked per parameter
-    (deterministically subsampled when `rng` is given, else a strided subset).
+    `max_entries` caps the coordinates checked per parameter to a strided subset.
     """
     params = list(params)
     for p in params:
@@ -726,10 +725,7 @@ def grad_check(f, params, eps=1e-5, tol=1e-4, max_entries=None, rng=None):
         flat = p.data.reshape(-1)
         n = flat.size
         if max_entries is not None and n > max_entries:
-            if rng is not None:
-                sel = np.sort(rng.choice(n, size=max_entries, replace=False))
-            else:
-                sel = np.linspace(0, n - 1, max_entries).astype(np.int64)
+            sel = np.linspace(0, n - 1, max_entries).astype(np.int64)
         else:
             sel = np.arange(n)
         for i in sel:

@@ -272,26 +272,67 @@ class TestCliPipeline:
                      "--out", str(tmp_path / "o"), flag, value]) == 2
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("edit", ["unknown_key", "no_config", "bad_value",
-                                      "zero_blocks"])
+    @pytest.mark.parametrize("edit", [
+        "unknown_key", "no_config", "bad_value", "zero_blocks", "zero_tau",
+        "bad_heads", "zero_f", "zero_latent_h", "retired_guidance",
+        "retired_params"])
     def test_bad_checkpoint_config_is_io_error(self, tmp_path, capsys, edit):
+        """Configs that ModelConfig or the model it builds reject exit 3, as
+        do checkpoints of the format that had text-attention q/k and norm."""
         from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
         ck = tmp_path / "ck"
         save_checkpoint(MvDenoiser(ModelConfig(f=2, latent_h=4, latent_w=4,
                                                channels=8, text_dim=8)), ck)
         manifest = json.loads((ck / "checkpoint.json").read_text())
+        config = manifest["config"]
         if edit == "unknown_key":
-            manifest["config"]["warp_factor"] = 9
+            config["warp_factor"] = 9
         elif edit == "bad_value":
-            manifest["config"]["channels"] = 0
+            config["channels"] = 0
         elif edit == "zero_blocks":
-            manifest["config"]["blocks"] = 0
+            config["blocks"] = 0
+        elif edit == "zero_tau":
+            config["tau"] = 0
+        elif edit == "bad_heads":
+            config["n_heads"] = 3
+        elif edit == "zero_f":
+            config["f"] = 0
+        elif edit == "zero_latent_h":
+            config["latent_h"] = 0
+        elif edit == "retired_guidance":
+            config["guidance"] = 7.5
+        elif edit == "retired_params":
+            manifest["param_names"] += ["block0.ca_norm.gain", "block0.ca_norm.bias",
+                                        "block0.ca.w_q", "block0.ca.w_k"]
         else:
             del manifest["config"]
         (ck / "checkpoint.json").write_text(json.dumps(manifest))
         assert main(["sample", "--checkpoint", str(ck), "--out",
                      str(tmp_path / "s"), "--prompt", "a cube"]) == 3
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stack", ["aa", "aa+dr+rg+air"])
+    def test_unknown_scan_strategy_checkpoint_is_io_error(self, tmp_path,
+                                                          capsys, stack):
+        from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
+        ck = tmp_path / "ck"
+        save_checkpoint(MvDenoiser(ModelConfig(
+            f=2, latent_h=4, latent_w=4, channels=8, text_dim=8,
+            **parse_stack(stack))), ck)
+        manifest = json.loads((ck / "checkpoint.json").read_text())
+        manifest["config"]["scan_strategy"] = "zigzag"
+        (ck / "checkpoint.json").write_text(json.dumps(manifest))
+        assert main(["sample", "--checkpoint", str(ck), "--out",
+                     str(tmp_path / "s"), "--prompt", "a cube"]) == 3
+        assert "scan strategy" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_unknown_scan_strategy_flag_is_config_error(self, dataset_dir,
+                                                        tmp_path, capsys):
+        assert main(["ablate", "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "o"), "--scans", "zigzag"]) == 2
+        assert "scan strategy" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("extra", [None, ["a cube"]])
     def test_bad_checkpoint_extra_is_io_error(self, tmp_path, capsys, extra):
