@@ -10,6 +10,7 @@ errors, 4 violated invariants (diverged training, failed gradient check).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -30,6 +31,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INVARIANT = 4
+
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3     # mallopt parameters, glibc malloc.h
+MMAP_THRESHOLD = 32 * 1024 * 1024               # the most glibc raises it to on 64-bit
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
 
 
 class CliError(Exception):
@@ -200,6 +205,9 @@ def cmd_sample(args):
             raise CliError(f"checkpoint manifest in {args.checkpoint} has no extra "
                            "object to read the prompt from; pass --prompt", EXIT_IO)
         prompt = extra.get("prompt")
+        if prompt is not None and not isinstance(prompt, str):
+            raise CliError(f"checkpoint prompt in {args.checkpoint} is not a "
+                           f"string: {prompt!r}", EXIT_IO)
     if not prompt:
         raise CliError("checkpoint carries no prompt; pass --prompt", EXIT_CONFIG)
     batch = {"prompt": prompt}
@@ -213,6 +221,7 @@ def cmd_sample(args):
         "steps": args.steps,
         "guidance": args.guidance,
         "seed": args.seed,
+        "malloc": args.malloc,
     })
     print(f"sampled {model.config.f} views ({args.steps} DDIM steps, "
           f"guidance {args.guidance}) into {args.out}")
@@ -300,6 +309,7 @@ def cmd_ablate(args):
         "channels": args.channels,
         "blocks": args.blocks,
         "lr": args.lr,
+        "malloc": args.malloc,
     })
     return EXIT_OK
 
@@ -385,8 +395,30 @@ def build_parser():
     return ap
 
 
+def pin_malloc_thresholds():
+    """Hold glibc's mmap and trim thresholds at 32 and 64 MiB.
+
+    glibc starts both at 128 KiB and raises them whenever a mapped chunk is
+    freed, in an order that differs between processes. Where they settle
+    low, a training step's larger arrays are mapped and unmapped afresh, or
+    the heap top is trimmed and faulted back, at thousands of minor page
+    faults per step. Held here, those arrays stay on the heap. Does nothing
+    where libc has no mallopt. Returns the setting, for run.json.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        ok = (mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
+              and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1)
+    except (OSError, AttributeError, TypeError):
+        ok = False
+    return f"mmap threshold {MMAP_THRESHOLD} B, trim threshold {TRIM_THRESHOLD} B" \
+        if ok else "libc default"
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    args.malloc = pin_malloc_thresholds()
     try:
         return args.fn(args)
     except CliError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,6 +291,37 @@ def save_dataset(rset: RenderedSet, path, seed):
         fh.write("\n")
 
 
+def is_int(v):
+    """An integer, Python or numpy, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def is_finite_number(v):
+    """An integer or a float that converts to a finite float."""
+    return (is_int(v) or isinstance(v, (float, np.floating))) \
+        and abs(v) <= sys.float_info.max
+
+
+def _check_fields(manifest):
+    """Raise ManifestError naming every field of the wrong JSON type."""
+    wrong = [k for k in ("f", "W", "H") if not is_int(manifest[k])]
+    if not (is_int(manifest["seed"]) and manifest["seed"] >= 0):
+        wrong.append("seed")
+    wrong += [k for k in ("elevation_deg", "distance")
+              if not is_finite_number(manifest[k])]
+    wrong += [k for k in ("image_files", "depth_files")
+              if not (isinstance(manifest[k], list)
+                      and all(isinstance(n, str) for n in manifest[k]))]
+    az = manifest.get("azimuths_deg", [])
+    if not (isinstance(az, list) and all(is_finite_number(a) for a in az)):
+        wrong.append("azimuths_deg")
+    if wrong:
+        raise ManifestError(
+            "manifest fields of the wrong type: " + ", ".join(wrong) + " (want "
+            "integers f, W and H, a seed >= 0, finite numbers elevation_deg, distance "
+            "and azimuths_deg, and lists of file names)")
+
+
 def load_dataset(path):
     """Read a dataset directory back; returns (RenderedSet, manifest dict)."""
     mpath = os.path.join(path, MANIFEST_NAME)
@@ -300,26 +332,32 @@ def load_dataset(path):
         raise ManifestError(f"missing manifest {mpath}") from exc
     except json.JSONDecodeError as exc:
         raise ManifestError(f"unparsable manifest {mpath}: {exc}") from exc
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise ManifestError(f"manifest version {manifest.get('version')!r} "
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"manifest {mpath} is not a JSON object")
+    version = manifest.get("version")
+    if not is_int(version) or version != MANIFEST_VERSION:
+        raise ManifestError(f"manifest version {version!r} "
                             f"unsupported (want {MANIFEST_VERSION})")
     for key in ("f", "W", "H", "elevation_deg", "distance",
                 "image_files", "depth_files", "seed"):
         if key not in manifest:
             raise ManifestError(f"manifest missing field {key!r}")
+    _check_fields(manifest)
     f, W, H = manifest["f"], manifest["W"], manifest["H"]
     if len(manifest["image_files"]) != f or len(manifest["depth_files"]) != f:
         raise ShapeMismatchError(
             f"manifest lists {len(manifest['image_files'])} images / "
             f"{len(manifest['depth_files'])} depths for f={f}")
-    ring = ViewRing(f=f, elevation_deg=manifest["elevation_deg"],
-                    distance=manifest["distance"], W=W, H=H)
+    try:
+        ring = ViewRing(f=f, elevation_deg=manifest["elevation_deg"],
+                        distance=manifest["distance"], W=W, H=H)
+    except ValueError as exc:
+        raise ManifestError(f"manifest does not describe a ring: {exc}") from exc
     expect = ring.azimuths_deg
     got = np.asarray(manifest.get("azimuths_deg", []), dtype=np.float64)
     if got.shape != expect.shape or not np.allclose(got, expect):
         raise ManifestError("manifest azimuths are not the uniform ring")
-    images = np.empty((f, H, W, 3), dtype=np.float64)
-    depths = np.empty((f, H, W), dtype=np.float64)
+    images, depths = [], []
     for i in range(f):
         ipath = os.path.join(path, manifest["image_files"][i])
         dpath = os.path.join(path, manifest["depth_files"][i])
@@ -336,6 +374,8 @@ def load_dataset(path):
         if dep.shape != (H, W):
             raise ShapeMismatchError(
                 f"{dpath}: shape {dep.shape}, manifest says {(H, W)}")
-        images[i] = img
-        depths[i] = dep
+        images.append(img)
+        depths.append(dep)
+    images = np.asarray(images, dtype=np.float64)
+    depths = np.asarray(depths, dtype=np.float64)
     return RenderedSet(images=images, depths=depths, ring=ring), manifest

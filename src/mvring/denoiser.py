@@ -18,17 +18,18 @@ import json
 import math
 import os
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .attention import (AirConfig, AttentionParams, ScoreMapper,
                         adjacent_attention, air_attention, score_map,
                         trajectory_attention)
+from .data import is_finite_number, is_int
 from .geometry import LatentStack, ViewRing
 from .scan import SCAN_STRATEGIES, SsmParams, rapid_glance
 from .tensor import (MvtError, Tape, Tensor, bilinear_upsample2d, concat,
-                     layer_norm, load_mvt, matmul, no_grad, save_mvt, unfold3x3)
+                     conv3x3, layer_norm, load_mvt, matmul, no_grad, save_mvt)
 
 __all__ = [
     "NoiseSchedule",
@@ -228,13 +229,17 @@ class ModelConfig:
     lr: float = 2e-3
 
     def __post_init__(self):
+        for fld in fields(self):
+            v = getattr(self, fld.name)
+            if fld.type == "int" and not (is_int(v) and v >= 1):
+                raise ValueError(f"{fld.name} must be >= 1 and integral, got {v!r}")
+            if fld.type == "float" and not is_finite_number(v):
+                raise ValueError(f"{fld.name} must be a finite number, got {v!r}")
+            if fld.type == "bool" and not isinstance(v, (bool, np.bool_)):
+                raise ValueError(f"{fld.name} must be true or false, got {v!r}")
         if not 0.0 <= self.p_2d <= 1.0 or not 0.0 <= self.p_drop <= 1.0:
             raise ValueError("p_2d and p_drop must lie in [0, 1]")
-        if self.channels < 1:
-            raise ValueError(f"channels must be >= 1, got {self.channels}")
-        if self.blocks < 1:
-            raise ValueError(f"blocks must be >= 1, got {self.blocks}")
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
+        if not self.lr > 0.0:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.scan_strategy not in SCAN_STRATEGIES:
             raise ValueError(f"unknown scan strategy {self.scan_strategy!r}")
@@ -275,14 +280,6 @@ def decode_latents(z, upsample=True):
 
 
 # -- layers -----------------------------------------------------------------------
-
-
-def conv3x3(x, w, b):
-    """Same-padded 3x3 convolution of [n,Cin,H,W] by w[Cout, 9*Cin]."""
-    f, cin, h, wd = x.shape
-    u = unfold3x3(x).reshape(f, 9 * cin, h * wd)
-    y = matmul(w, u).reshape(f, w.shape[0], h, wd)
-    return y + b.reshape(1, b.shape[0], 1, 1)
 
 
 def channel_norm(x, gain, bias, eps=1e-5):
@@ -723,6 +720,9 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint config does not build the model: {exc}") from exc
     params = model.named_params()
     listed = manifest.get("param_names", [])
+    if not (isinstance(listed, list) and all(isinstance(n, str) for n in listed)):
+        raise CheckpointError(f"checkpoint param_names is not a list of names: "
+                              f"{listed!r}")
     if sorted(listed) != sorted(params):
         raise CheckpointError("checkpoint parameter list does not match the "
                               "architecture built from its config")

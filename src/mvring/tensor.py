@@ -3,7 +3,7 @@
 Tensors wrap numpy arrays (float64 by default, float32 supported) and record
 a dynamic graph over a closed primitive set: matmul, elementwise arithmetic,
 exp/log/sqrt/sigmoid/softplus, softmax, layer norm, reductions,
-reshape/transpose/concat, basic slicing, row gather, 3x3 unfolding,
+reshape/transpose/concat, basic slicing, row gather, 3x3 convolution,
 average pooling, bilinear upsampling, a first-order linear recurrence,
 and the selective-SSM recurrence beneath the scan as one node with a
 hand-written backward. `backward` replays the graph in a fixed
@@ -36,7 +36,7 @@ __all__ = [
     "layer_norm",
     "avg_pool2d",
     "bilinear_upsample2d",
-    "unfold3x3",
+    "conv3x3",
     "take_rows",
     "linear_recurrence",
     "selective_recurrence",
@@ -538,24 +538,48 @@ def bilinear_upsample2d(x, factor):
     return out
 
 
-def unfold3x3(x):
-    """Stack the 9 same-padded 3x3 shifts of [..., C, H, W] along channels.
+def _im2col3x3(a):
+    """[n, C, H, W] -> [n, 9C, H*W]: channel block k holds shift (k//3, k%3)
+    of `a` bordered by one pixel of zeros, so a matmul by [Cout, 9C] is a
+    same-padded 3x3 convolution."""
+    n, c, h, w = a.shape
+    ap = np.zeros((n, c, h + 2, w + 2), dtype=a.dtype)
+    ap[:, :, 1:-1, 1:-1] = a
+    cols = np.empty((n, 9, c, h, w), dtype=a.dtype)
+    for k in range(9):
+        cols[:, k] = ap[:, :, k // 3:k // 3 + h, k % 3:k % 3 + w]
+    return cols.reshape(n, 9 * c, h * w)
 
-    Output channel block k*C..(k+1)*C holds shift (dy, dx) = (k//3, k%3) of
-    the zero-padded input; a matmul against [9C, Cout] completes a 3x3 conv.
+
+def conv3x3(x, w, b):
+    """Same-padded 3x3 convolution of x [n, Cin, H, W] by w [Cout, 9*Cin],
+    plus bias b [Cout], as one node.
+
+    Column block k of w weighs the input at offset (k//3 - 1, k%3 - 1) from
+    each output pixel. The input gradient is the transposed convolution: the
+    output gradient's columns times the kernel flipped in space, with its
+    channel axes swapped.
     """
-    *lead, c, h, w = x.data.shape
-    xp = np.pad(x.data, [(0, 0)] * len(lead) + [(0, 0), (1, 1), (1, 1)])
-    views = [xp[..., dy:dy + h, dx:dx + w]
-             for dy in (0, 1, 2) for dx in (0, 1, 2)]
-    out = Tensor(np.concatenate(views, axis=-3), _parents=(x,))
+    n, cin, h, wd = x.data.shape
+    cout = w.data.shape[0]
+    if w.data.shape != (cout, 9 * cin) or b.data.shape != (cout,):
+        raise ValueError(f"conv3x3 of {x.data.shape} needs w [Cout, {9 * cin}] "
+                         f"and b [Cout], got {w.data.shape} and {b.data.shape}")
+    cols = _im2col3x3(x.data)
+    y = np.matmul(w.data, cols).reshape(n, cout, h, wd)
+    y += b.data.reshape(1, cout, 1, 1)
+    out = Tensor(y, _parents=(x, w, b))
 
     def backward(g):
-        gp = np.zeros_like(xp)
-        for k, (dy, dx) in enumerate((dy, dx) for dy in (0, 1, 2)
-                                     for dx in (0, 1, 2)):
-            gp[..., dy:dy + h, dx:dx + w] += g[..., k * c:(k + 1) * c, :, :]
-        _acc(x, gp[..., 1:-1, 1:-1])
+        if w.requires_grad:
+            g3 = g.reshape(n, cout, h * wd)
+            _acc(w, np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0))
+        if b.requires_grad:
+            _acc(b, g.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            wt = w.data.reshape(cout, 9, cin)[:, ::-1].transpose(2, 1, 0)
+            gx = np.matmul(wt.reshape(cin, 9 * cout), _im2col3x3(g))
+            _acc(x, gx.reshape(n, cin, h, wd))
 
     out._backward = backward if out.requires_grad else None
     return out

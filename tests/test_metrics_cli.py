@@ -1,12 +1,15 @@
 """Consistency/PSNR metrics, PPM output and the command-line surface."""
 
+import ctypes
 import json
 import os
+import platform
+import shutil
 
 import numpy as np
 import pytest
 
-from mvring.cli import CSV_HEADER, main, parse_stack
+from mvring.cli import CSV_HEADER, main, parse_stack, pin_malloc_thresholds
 from mvring.data import ground_truth_correspondence
 from mvring.metrics import (adjacent_pairs, consistency_metric, psnr,
                             read_ppm, write_ppm)
@@ -179,6 +182,7 @@ class TestCliPipeline:
         assert len(ppms) == 12
         manifest = json.loads((sm / "run.json").read_text())
         assert manifest["guidance"] == 7.5 and manifest["steps"] == 4
+        assert manifest["malloc"] == pin_malloc_thresholds()
         assert main(["eval", "--dataset", str(dataset_dir),
                      "--samples", str(sm)]) == 0
 
@@ -199,6 +203,67 @@ class TestCliPipeline:
     def test_missing_dataset_is_io_error(self, tmp_path):
         assert main(["train", "--dataset", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "ck")]) == 3
+
+    @pytest.mark.parametrize("edit", [
+        "json_list", "json_string", "image_files_int", "image_files_ints",
+        "string_W", "float_f", "string_elevation", "string_seed", "zero_f",
+        "zero_W", "negative_H", "string_azimuths"])
+    def test_malformed_dataset_manifest_is_io_error(self, dataset_dir, tmp_path,
+                                                    capsys, edit):
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        m = json.loads((ds / "manifest.json").read_text())
+        if edit == "json_list":
+            m = [m]
+        elif edit == "json_string":
+            m = "manifest"
+        elif edit == "image_files_int":
+            m["image_files"] = 5
+        elif edit == "image_files_ints":
+            m["image_files"] = list(range(12))
+        elif edit == "string_W":
+            m["W"] = "32"
+        elif edit == "float_f":
+            m["f"] = 12.0
+        elif edit == "string_elevation":
+            m["elevation_deg"] = "a"
+        elif edit == "string_seed":
+            m["seed"] = "zz"
+        elif edit == "zero_f":
+            m.update(f=0, image_files=[], depth_files=[], azimuths_deg=[])
+        elif edit == "zero_W":
+            m["W"] = 0
+        elif edit == "negative_H":
+            m["H"] = -8
+        else:
+            m["azimuths_deg"] = "abc"
+        (ds / "manifest.json").write_text(json.dumps(m))
+        assert main(["train", "--dataset", str(ds), "--out", str(tmp_path / "ck"),
+                     "--steps", "1", "--stack", "aa"]) == 3
+        assert "manifest" in capsys.readouterr().err
+        assert not (tmp_path / "ck").exists()
+
+    def test_malloc_thresholds_pinned_on_glibc(self):
+        pinned = "mmap threshold 33554432 B, trim threshold 67108864 B"
+        assert pin_malloc_thresholds() == (
+            pinned if platform.libc_ver()[0] == "glibc" else "libc default")
+
+    def test_malloc_left_on_libc_default_without_libc(self, tmp_path,
+                                                      monkeypatch):
+        from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
+
+        def no_libc(*args, **kwargs):
+            raise OSError("no libc")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        assert pin_malloc_thresholds() == "libc default"
+        ck = tmp_path / "ck"
+        save_checkpoint(MvDenoiser(ModelConfig(f=2, latent_h=4, latent_w=4,
+                                               channels=8)), ck)
+        assert main(["sample", "--checkpoint", str(ck), "--prompt", "a cube",
+                     "--steps", "2", "--out", str(tmp_path / "s")]) == 0
+        run = json.loads((tmp_path / "s" / "run.json").read_text())
+        assert run["malloc"] == "libc default"
 
     def test_bad_stack_is_config_error(self, dataset_dir, tmp_path):
         assert main(["train", "--dataset", str(dataset_dir),
@@ -275,7 +340,8 @@ class TestCliPipeline:
     @pytest.mark.parametrize("edit", [
         "unknown_key", "no_config", "bad_value", "zero_blocks", "zero_tau",
         "bad_heads", "zero_f", "zero_latent_h", "retired_guidance",
-        "retired_params"])
+        "retired_params", "zero_text_dim", "fractional_f", "zero_T",
+        "string_enable_aa", "param_names_int", "param_names_mixed"])
     def test_bad_checkpoint_config_is_io_error(self, tmp_path, capsys, edit):
         """Configs that ModelConfig or the model it builds reject exit 3, as
         do checkpoints of the format that had text-attention q/k and norm."""
@@ -304,12 +370,26 @@ class TestCliPipeline:
         elif edit == "retired_params":
             manifest["param_names"] += ["block0.ca_norm.gain", "block0.ca_norm.bias",
                                         "block0.ca.w_q", "block0.ca.w_k"]
+        elif edit == "zero_text_dim":
+            config["text_dim"] = 0
+        elif edit == "fractional_f":
+            config["f"] = 12.5
+        elif edit == "zero_T":
+            config["T"] = 0
+        elif edit == "string_enable_aa":
+            config["enable_aa"] = "no"
+        elif edit == "param_names_int":
+            manifest["param_names"] = 5
+        elif edit == "param_names_mixed":
+            manifest["param_names"] = [1, "a"]
         else:
             del manifest["config"]
         (ck / "checkpoint.json").write_text(json.dumps(manifest))
         assert main(["sample", "--checkpoint", str(ck), "--out",
                      str(tmp_path / "s"), "--prompt", "a cube"]) == 3
-        assert "config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("param_names" if edit.startswith("param_names") else "config") in err
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("stack", ["aa", "aa+dr+rg+air"])
     def test_unknown_scan_strategy_checkpoint_is_io_error(self, tmp_path,
@@ -334,7 +414,7 @@ class TestCliPipeline:
         assert "scan strategy" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("extra", [None, ["a cube"]])
+    @pytest.mark.parametrize("extra", [None, ["a cube"], {"prompt": 5}])
     def test_bad_checkpoint_extra_is_io_error(self, tmp_path, capsys, extra):
         from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
         ck = tmp_path / "ck"
@@ -349,7 +429,8 @@ class TestCliPipeline:
         (ck / "checkpoint.json").write_text(json.dumps(manifest))
         assert main(["sample", "--checkpoint", str(ck), "--out",
                      str(tmp_path / "s")]) == 3
-        assert "no extra object" in capsys.readouterr().err
+        message = "not a string" if isinstance(extra, dict) else "no extra object"
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     def test_missing_checkpoint_is_io_error(self, tmp_path):
@@ -392,3 +473,5 @@ class TestCliPipeline:
         assert rows[2].split(",")[1] == "aa"
         assert (out / "aa__spiral-bidirectional__s0" / "seed0" /
                 "view_00.ppm").exists()
+        run = json.loads((out / "run.json").read_text())
+        assert run["malloc"] == pin_malloc_thresholds()

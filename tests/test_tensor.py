@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvring.tensor import (MvtError, Tape, Tensor, _sigmoid, avg_pool2d,
-                           bilinear_upsample2d, concat, grad_check, layer_norm,
-                           linear_recurrence, load_mvt, matmul, no_grad,
-                           save_mvt, softmax, take_rows, unfold3x3)
+                           bilinear_upsample2d, concat, conv3x3, grad_check,
+                           layer_norm, linear_recurrence, load_mvt, matmul,
+                           no_grad, save_mvt, softmax, take_rows)
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -193,8 +193,9 @@ class TestAutodiff:
         lambda x: x.reshape(6)[1:4].sum(),
         lambda x: avg_pool2d((x * x)[:, 1:], 2).sum(),
         lambda x: bilinear_upsample2d(x, 3).mean(),
-        lambda x: (unfold3x3(x.reshape(1, 1, 2, 3)) *
-                   unfold3x3(x.reshape(1, 1, 2, 3))).sum(),
+        lambda x: conv3x3(x.reshape(1, 1, 2, 3),                 # w [1, 9], b [1]
+                          concat([x.reshape(1, 6), x[:1]], axis=1),
+                          x[0, :1]).exp().sum(),
         lambda x: (x / (x * x + 2.0)).sum(),
         lambda x: (x - x.mean(axis=1, keepdims=True)).sum(axis=None),
     ])
@@ -251,6 +252,82 @@ class TestAutodiff:
         with np.errstate(invalid="ignore", divide="ignore"), \
                 pytest.raises(ValueError, match="finite"):
             grad_check(lambda: x.log().log().sum() * np.nan, [x])
+
+
+def composed_conv3x3(x, w, b):
+    """The composed graph conv3x3 replaced: zero border, the nine shifted
+    slices stacked along channels, matmul by w [Cout, 9*Cin], bias add."""
+    n, c, h, wd = x.shape
+    zr = Tensor(np.zeros((n, c, 1, wd), dtype=x.dtype))
+    xp = concat([zr, x, zr], axis=2)
+    zc = Tensor(np.zeros((n, c, h + 2, 1), dtype=x.dtype))
+    xp = concat([zc, xp, zc], axis=3)
+    u = concat([xp[:, :, dy:dy + h, dx:dx + wd]
+                for dy in range(3) for dx in range(3)], axis=1)
+    y = matmul(w, u.reshape(n, 9 * c, h * wd)).reshape(n, w.shape[0], h, wd)
+    return y + b.reshape(1, b.shape[0], 1, 1)
+
+
+def conv_operands(rng, n, cin, cout, h, w, dtype=np.float64):
+    x = Tensor(rng.standard_normal((n, cin, h, w)).astype(dtype), requires_grad=True)
+    wt = Tensor(rng.standard_normal((cout, 9 * cin)).astype(dtype), requires_grad=True)
+    b = Tensor(rng.standard_normal(cout).astype(dtype), requires_grad=True)
+    return x, wt, b
+
+
+CONV_SHAPES = [(12, 16, 16, 8, 8), (2, 3, 5, 4, 7), (1, 2, 3, 1, 5)]
+
+
+class TestConv3x3:
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_forward_matches_composed_bitwise(self, rng, shape):
+        x, w, b = conv_operands(rng, *shape)
+        assert np.array_equal(conv3x3(x, w, b).data,
+                              composed_conv3x3(x, w, b).data)
+
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_gradients_match_composed(self, rng, shape):
+        ops = conv_operands(rng, *shape)
+        seed = rng.standard_normal(shape[:1] + shape[2:])
+        grads = []
+        for conv in (conv3x3, composed_conv3x3):
+            for t in ops:
+                t.zero_grad()
+            conv(*ops).backward(seed=seed)
+            grads.append([t.grad_array().copy() for t in ops])
+        for g, want in zip(*grads):
+            assert np.any(want != 0.0)
+            assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 3, 3, 5), (2, 3, 1, 1, 4)])
+    def test_gradcheck_odd_shapes(self, rng, shape):
+        ops = conv_operands(rng, *shape)
+
+        def f():
+            y = conv3x3(*ops)
+            return (y * y).sum()
+
+        rep = grad_check(f, list(ops), eps=1e-6, tol=1e-4)
+        assert rep.passed, rep
+
+    def test_float32_stays_float32(self, rng):
+        ops = conv_operands(rng, 2, 3, 4, 5, 5, dtype=np.float32)
+        y = conv3x3(*ops)
+        assert y.dtype == np.float32
+        y.sum().backward()
+        assert all(t.grad.dtype == np.float32 for t in ops)
+
+    def test_no_grad_records_nothing(self, rng):
+        with no_grad():
+            y = conv3x3(*conv_operands(rng, 2, 3, 4, 5, 5))
+        assert not y.requires_grad
+        assert y._parents == () and y._backward is None
+
+    @pytest.mark.parametrize("w_shape, b_shape", [((4, 18), (4,)), ((4, 27), (3,))])
+    def test_operand_shapes_checked(self, rng, w_shape, b_shape):
+        x = Tensor(rng.standard_normal((1, 3, 4, 4)))
+        with pytest.raises(ValueError, match="conv3x3"):
+            conv3x3(x, Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
 
 
 def masked_sigmoid(x):
