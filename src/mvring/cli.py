@@ -117,6 +117,18 @@ def _training_batch(rset, manifest):
     }
 
 
+def _parse_sample_seeds(text):
+    """'0,1,2' -> [0, 1, 2]; a non-empty list of integers >= 0."""
+    try:
+        seeds = [int(s) for s in text.split(",")]
+    except ValueError:
+        seeds = []
+    if not seeds or min(seeds) < 0:
+        raise CliError(f"--sample-seeds must be a comma-separated list of "
+                       f"integers >= 0, got {text!r}", EXIT_CONFIG)
+    return seeds
+
+
 def _check_train_args(args):
     if args.steps < 1:
         raise CliError(f"--steps must be >= 1, got {args.steps}", EXIT_CONFIG)
@@ -262,6 +274,7 @@ def cmd_ablate(args):
     # reject bad sampling flags before training, not after
     dn.check_guidance(args.guidance)
     dn.ddim_timesteps(dn.ModelConfig.T, args.sample_steps)
+    sample_seeds = _parse_sample_seeds(args.sample_seeds)
     rset, manifest = dat.load_dataset(args.dataset)
     stacks = [s.strip() for s in args.stacks.split(",") if s.strip()]
     scans = [s.strip() for s in args.scans.split(",") if s.strip()]
@@ -270,22 +283,27 @@ def cmd_ablate(args):
             raise CliError(f"unknown scan strategy {s!r}", EXIT_CONFIG)
     if not stacks or not scans:
         raise CliError("need at least one stack and one scan strategy", EXIT_CONFIG)
-    sample_seeds = [int(s) for s in args.sample_seeds.split(",")]
     os.makedirs(args.out, exist_ok=True)
     gt_decoded = dn.decode_latents(dn.encode_images(rset.images))
     rows = []
     for stack_text in stacks:
         flags = parse_stack(stack_text)
+        trained = None
         for scan in scans:
-            model, batch, history = _train_one(rset, manifest, args, flags,
-                                               scan, args.seed)
+            # only rg reads the scan strategy, so an rg-free stack trains once
+            if trained is None or flags["enable_rg"]:
+                model, batch, history = _train_one(rset, manifest, args, flags,
+                                                   scan, args.seed)
+                trained = history, {s: _sample_stack(model, batch, args.sample_steps,
+                                                     args.guidance, s)
+                                    for s in sample_seeds}
+            history, latents = trained
             stack = model.config.stack
             run_id = f"{stack}__{scan}__s{args.seed}"
             cons, psnrs = [], []
             for s in sample_seeds:
-                z = _sample_stack(model, batch, args.sample_steps,
-                                  args.guidance, s)
-                images = _dump_views(os.path.join(args.out, run_id, f"seed{s}"), z)
+                images = _dump_views(os.path.join(args.out, run_id, f"seed{s}"),
+                                     latents[s])
                 cons.append(met.consistency_metric(images, rset))
                 psnrs.append(met.psnr(images, gt_decoded))
             rows.append(_csv_row(run_id, stack, scan, args.seed,

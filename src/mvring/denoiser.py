@@ -7,8 +7,8 @@ layers: adjacent attention, trajectory-window attention, the bidirectional
 spiral scan, and score-pooled all-view rectification. Text conditioning is
 a per-ring shift, the whole of cross-attention onto a one-token prompt.
 Training minimizes the usual eps-prediction MSE; sampling is deterministic
-DDIM with classifier-free guidance, evaluating both guidance branches as
-one batch of two rings without recording an autodiff graph.
+DDIM with classifier-free guidance, evaluating both guidance branches in
+one call, one ring under two prompts, without recording an autodiff graph.
 """
 
 from __future__ import annotations
@@ -455,13 +455,16 @@ class MvDenoiser:
     def denoise(self, z_t, t, text_emb, mode_2d=False, camera_shift=0):
         """Predict the injected noise for a latent stack at step t.
 
-        z_t is one ring [f, 3, H, W] with text_emb [text_dim], or B rings
-        [B, f, 3, H, W] with one embedding per ring, [B, text_dim]; the
-        output has the shape of z_t. Rings share t and are denoised
-        independently. mode_2d bypasses every cross-view operator, leaving
-        the per-view text-to-image path. camera_shift relabels which ring
-        camera each view slot is conditioned on (used by the equivariance
-        property).
+        z_t is one ring [f, 3, H, W] or B rings [B, f, 3, H, W]; text_emb is
+        one embedding [text_dim], or one per ring [B, text_dim]. One ring
+        with B embeddings is denoised as B copies of that ring, one per
+        prompt, and the output is [B, f, 3, H, W]; otherwise it has the
+        shape of z_t. Rings share t and are denoised independently. The
+        prompt-free trunk (stem conv, block 0's res block) runs once for a
+        shared ring, which is repeated into B rings just before the first
+        text shift. mode_2d bypasses every cross-view operator, leaving the
+        per-view text-to-image path. camera_shift relabels which ring camera
+        each view slot is conditioned on (used by the equivariance property).
         """
         cfg = self.config
         x = z_t if isinstance(z_t, Tensor) else Tensor(np.asarray(z_t))
@@ -469,20 +472,21 @@ class MvDenoiser:
         if x.ndim not in (4, 5) or x.shape[-4:] != view:
             raise ValueError(f"latent stack shape {x.shape} does not match "
                              f"config {view} or [B, *{view}]")
-        b = x.shape[0] if x.ndim == 5 else 1
         e = np.asarray(text_emb)
-        if e.ndim != x.ndim - 3 or (e.ndim == 2 and e.shape[0] != b):
+        b = e.shape[0] if e.ndim == 2 else 1
+        if e.ndim not in (1, 2) or (x.ndim == 5 and (e.ndim != 2 or x.shape[0] != b)):
             raise ValueError(f"text embedding shape {e.shape} does not fit "
                              f"latent stack shape {x.shape}")
-        out_shape = x.shape
+        out_shape = (b, *view) if e.ndim == 2 else view
         if x.ndim == 5:
             x = x.reshape(b * cfg.f, *view[1:])
-        emb = self._embeddings(t, camera_shift)
-        if b > 1:
-            emb = concat([emb] * b, axis=0)                       # [B*f, C]
+        emb = self._embeddings(t, camera_shift)                   # [f, C]
+        rings_emb = concat([emb] * b, axis=0) if b > 1 else emb   # [B*f, C]
         x = conv3x3(x, self.stem.w, self.stem.b)
         for blk in self.blocks:
-            x = res_block(x, emb, blk.res)
+            x = res_block(x, rings_emb if x.shape[0] > cfg.f else emb, blk.res)
+            if x.shape[0] < b * cfg.f:
+                x = concat([x] * b, axis=0)                       # B whole rings
             x = cross_attention(x, text_emb, None, blk.ca)
             if not mode_2d:
                 if cfg.enable_aa:
@@ -624,9 +628,10 @@ def ddim_sample(model: MvDenoiser, text_emb, null_emb, steps=50, guidance=7.5,
                 seed=0, z_init=None):
     """Classifier-free-guided DDIM; bitwise deterministic given the seed.
 
-    Each step is one no-grad denoise call. With guidance != 1 it denoises
-    the latents twice over, as a batch of two rings conditioned on
-    (text, null); guidance 1 needs the conditional branch only.
+    Each step is one no-grad denoise call. With guidance != 1 that call
+    takes the one ring under two prompts, (text, null): the prompt-free
+    trunk runs once and the rest of the network on two rings. Guidance 1
+    needs the conditional branch only.
     """
     check_guidance(guidance)
     cfg = model.config
@@ -641,7 +646,7 @@ def ddim_sample(model: MvDenoiser, text_emb, null_emb, steps=50, guidance=7.5,
             if guidance == 1.0:
                 eps_hat = model.denoise(z, int(t_from), text_emb).data
             else:
-                eps_c, eps_u = model.denoise(np.stack([z, z]), int(t_from), pair).data
+                eps_c, eps_u = model.denoise(z, int(t_from), pair).data
                 eps_hat = eps_u + guidance * (eps_c - eps_u)
             z = ddim_step(z, int(t_from), int(t_to), eps_hat, sched)
     return z

@@ -300,8 +300,14 @@ class Tensor:
         return out
 
     def softplus(self):
+        # max(x, 0) + log1p(exp(-|x|)): np.logaddexp(0, x) is ~8x slower
         x = self.data
-        out = Tensor(np.logaddexp(0.0, x), _parents=(self,))
+        y = np.abs(x.reshape(-1))
+        np.negative(y, out=y)
+        np.exp(y, out=y)
+        np.log1p(y, out=y)
+        y += np.maximum(x.reshape(-1), 0)
+        out = Tensor(y.reshape(x.shape), _parents=(self,))
 
         def backward(g):
             _acc(self, g * _sigmoid(x))
@@ -637,7 +643,7 @@ def selective_recurrence(delta, dx, b, c, a):
     h[-1] = 0, for M independent sequences side by side. `delta` and `dx` are
     [L, M, D], `b` and `c` [L, M, N], `a` is [D, N]; the output is [L, M, D].
     The state is held as [L, M, N, D], channels innermost, and advances in one
-    kernel call of width M*N*D; the sum over N runs in ascending n. The
+    kernel call of width M*N*D; the readout is one einsum over N. The
     backward pass is one reverse-time recurrence plus sums over N and D.
     """
     L, M, D = delta.data.shape
@@ -649,10 +655,7 @@ def selective_recurrence(delta, dx, b, c, a):
     np.exp(abar, out=abar)                                    # [L, M, N, D]
     u = dx.data.reshape(L, M, 1, D) * b.data.reshape(L, M, N, 1)
     h = _kernel.linrec_array(abar, u)
-    hc = np.multiply(h, c4, out=u)
-    y = hc[:, :, 0].copy()
-    for n in range(1, N):
-        y += hc[:, :, n]
+    y = np.einsum("lmnd,lmn->lmd", h, c.data)
     out = Tensor(y, _parents=(delta, dx, b, c, a))
 
     def backward(g):

@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, printed as PASS/FAIL lines.
 
 Run as `pytest -v -s tests/test_acceptance.py` to see the criterion lines.
-The ablation criteria (7-9) train real models and take a few minutes.
+The ablation criteria (7-9) train real models and take a few minutes; they
+and criterion 5 carry the `slow` marker, so `-m "not slow"` skips them.
 """
 
 import os
@@ -173,6 +174,7 @@ def test_criterion_4_window_guarantee_20_scenes():
 # -- 5: end-to-end gradient integrity ---------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_5_miniature_gradcheck_under_60s():
     loss, params = dn.gradcheck_loss(seed=0)
     t0 = time.perf_counter()
@@ -259,6 +261,7 @@ def ablation_runs(tmp_path_factory):
     return runs[0], runs[1], elapsed
 
 
+@pytest.mark.slow
 def test_criterion_7_overfit_ablation_trend(ablation_runs):
     run1, _, elapsed = ablation_runs
     rows = _read_ablation(run1)
@@ -278,6 +281,7 @@ def test_criterion_7_overfit_ablation_trend(ablation_runs):
            f"aa {cons_aa:.4f} > full {cons_full:.4f}; total wall {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8_scan_strategy_ablation(ablation_runs):
     run1, _, _ = ablation_runs
     rows = _read_ablation(run1)
@@ -304,6 +308,7 @@ def test_criterion_8_scan_strategy_ablation(ablation_runs):
            f"{mean_dist(row_major_order(8, 8)):.2f}")
 
 
+@pytest.mark.slow
 def test_criterion_9_byte_identical_artifacts(ablation_runs):
     run1, run2, _ = ablation_runs
     csv_same = (run1 / "ablation.csv").read_bytes() == \

@@ -5,6 +5,7 @@ import gc
 import numpy as np
 import pytest
 
+from mvring import denoiser as dn
 from mvring.attention import AttentionParams
 from mvring.denoiser import (Adam, CheckpointError, ModelConfig, MvDenoiser,
                              NoiseSchedule, NormParams, ToyTextEncoder,
@@ -264,7 +265,42 @@ class TestBatchedDenoise:
         with pytest.raises(ValueError, match="text embedding"):
             mini_model.denoise(z, 10, np.stack([text8] * 3))
         with pytest.raises(ValueError, match="text embedding"):
-            mini_model.denoise(z[0], 10, np.stack([text8] * 2))
+            mini_model.denoise(z[0], 10, np.stack([text8] * 2)[None])
+
+    @pytest.mark.parametrize("over, kw", [
+        ({}, {}),
+        ({}, {"mode_2d": True}),
+        ({"n_heads": 2}, {}),
+        ({"scan_strategy": "row-major"}, {}),
+        ({"blocks": 2}, {}),
+    ], ids=["full", "mode_2d", "two_heads", "row_major", "two_blocks"])
+    def test_one_ring_under_many_prompts_matches_stacked_copies(self, over, kw,
+                                                                rng):
+        model = _jittered(mini_config(f=3, **over), seed=25)
+        z = rng.standard_normal((3, 3, 4, 4))
+        emb = rng.standard_normal((3, 8))
+        shared = model.denoise(z, 321, emb, **kw).data
+        stacked = model.denoise(np.stack([z] * 3), 321, emb, **kw).data
+        assert shared.shape == (3, 3, 3, 4, 4)
+        assert np.max(np.abs(shared[0] - shared[1])) > 1e-3
+        assert np.array_equal(shared, stacked)
+
+    def test_shared_ring_gradients_match_stacked_copies(self, rng):
+        model = _jittered(mini_config(f=3, blocks=2), seed=26)
+        z = rng.standard_normal((3, 3, 4, 4))
+        emb = rng.standard_normal((2, 8))
+        w = Tensor(rng.standard_normal((2, 3, 3, 4, 4)))
+
+        def grads(z_in):
+            zt = Tensor(z_in, requires_grad=True)
+            model.tape.zero_grad()
+            (model.denoise(zt, 321, emb) * w).sum().backward()
+            return zt.grad, [p.grad.copy() for p in model.params()]
+
+        gz_one, gp_one = grads(z)
+        gz_two, gp_two = grads(np.stack([z, z]))
+        for a, b in zip([gz_one] + gp_one, [gz_two.sum(axis=0)] + gp_two):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
     def test_no_grad_builds_no_graph(self, text8, rng):
         model = _jittered(mini_config(), seed=22)
@@ -467,6 +503,20 @@ class TestDdim:
         ddim_sample(model, text8, np.zeros_like(text8), steps=3, guidance=1.0,
                     seed=0)
         assert all(calls) and len(calls) == 3
+
+    def test_guided_step_runs_the_trunk_on_one_ring(self, text8, monkeypatch):
+        model = MvDenoiser(mini_config(f=3), seed=14)
+        views = []
+        real = dn.res_block
+
+        def spy(x, emb, p):
+            views.append(x.shape[0])
+            return real(x, emb, p)
+
+        monkeypatch.setattr(dn, "res_block", spy)
+        ddim_sample(model, text8, np.zeros_like(text8), steps=3, guidance=7.5,
+                    seed=0)
+        assert views == [3, 3, 3]
 
     def test_cfg_matches_two_call_loop(self, rng):
         model = _jittered(mini_config(f=3), seed=24)

@@ -337,6 +337,15 @@ class TestCliPipeline:
                      "--out", str(tmp_path / "o"), flag, value]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("seeds", ["-1", "0,,1", "a", ""])
+    def test_ablate_bad_sample_seeds_fail_before_training(
+            self, dataset_dir, tmp_path, capsys, seeds):
+        assert main(["ablate", "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "o"),
+                     f"--sample-seeds={seeds}"]) == 2
+        assert "--sample-seeds" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("edit", [
         "unknown_key", "no_config", "bad_value", "zero_blocks", "zero_tau",
         "bad_heads", "zero_f", "zero_latent_h", "retired_guidance",
@@ -475,3 +484,36 @@ class TestCliPipeline:
                 "view_00.ppm").exists()
         run = json.loads((out / "run.json").read_text())
         assert run["malloc"] == pin_malloc_thresholds()
+
+    def test_ablate_trains_rg_free_stacks_once(self, dataset_dir, tmp_path,
+                                               monkeypatch):
+        import mvring.denoiser as dn
+        trained = []
+        real = dn.train_loop
+
+        def counting(batch, model, **kw):
+            trained.append(model.config.stack)
+            return real(batch, model, **kw)
+
+        monkeypatch.setattr(dn, "train_loop", counting)
+        out = tmp_path / "abl"
+        assert main(["ablate", "--dataset", str(dataset_dir), "--out", str(out),
+                     "--stacks", "aa,rg", "--scans",
+                     "spiral-bidirectional,row-major", "--steps", "5",
+                     "--stop-loss", "0", "--log-every", "5", "--channels", "8",
+                     "--sample-steps", "2", "--sample-seeds", "0,1"]) == 0
+        assert trained == ["aa", "rg", "rg"]
+        rows = (out / "ablation.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:3] for r in rows] == [
+            ["aa__spiral-bidirectional__s0", "aa", "spiral-bidirectional"],
+            ["aa__row-major__s0", "aa", "row-major"],
+            ["rg__spiral-bidirectional__s0", "rg", "spiral-bidirectional"],
+            ["rg__row-major__s0", "rg", "row-major"]]
+        assert rows[0].split(",")[3:] == rows[1].split(",")[3:]
+        spiral, row = out / "aa__spiral-bidirectional__s0", out / "aa__row-major__s0"
+        names = sorted(os.path.relpath(os.path.join(d, n), spiral)
+                       for d, _, files in os.walk(spiral) for n in files
+                       if n.endswith(".ppm"))
+        assert len(names) == 2 * 12
+        assert all((spiral / n).read_bytes() == (row / n).read_bytes()
+                   for n in names)

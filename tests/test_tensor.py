@@ -367,6 +367,35 @@ class TestStableSigmoid:
         assert t.grad == masked_sigmoid(np.array([-0.3]))[0]
 
 
+class TestSoftplus:
+    """max(x, 0) + log1p(exp(-|x|)) stands in for np.logaddexp(0, x)."""
+
+    EDGES = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
+
+    @staticmethod
+    def assert_near_logaddexp(x):
+        got = Tensor(x).softplus().data
+        with np.errstate(invalid="ignore"):
+            want = np.logaddexp(0, x)
+        assert got.dtype == x.dtype and got.shape == x.shape
+        fin = np.isfinite(want)
+        assert np.array_equal(got[~fin], want[~fin], equal_nan=True)
+        assert np.all(np.abs(got[fin] - want[fin])
+                      <= 4 * np.spacing(np.abs(want[fin])))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_within_4_ulp_of_logaddexp(self, rng, dtype):
+        scales = (0.01, 0.1, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0)
+        x = np.concatenate([rng.standard_normal(2002) * s for s in scales]
+                           + [self.EDGES])
+        self.assert_near_logaddexp(x.astype(dtype).reshape(-1, 7))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_zero_dim_input(self, dtype):
+        for v in (-0.3, 0.0, 40.0, np.nan):
+            self.assert_near_logaddexp(np.array(v, dtype=dtype))
+
+
 class TestNoGrad:
     def test_records_no_graph(self):
         x = Tensor(np.array([0.5, -2.0]), requires_grad=True)
