@@ -40,31 +40,24 @@ _MASK_OFF = -1e30  # additive logit bias that zeroes a key after softmax
 
 @dataclass
 class AttentionParams:
-    """Q/K/V/O projections shared across space and view, with channel heads."""
+    """Single-head Q/K/V/O projections shared across space and view."""
 
     w_q: Tensor
     w_k: Tensor
     w_v: Tensor
     w_o: Tensor
-    n_heads: int = 1
-
-    def __post_init__(self):
-        c = self.w_q.shape[1]
-        if c % self.n_heads:
-            raise ValueError(f"{self.n_heads} heads do not divide dim {c}")
 
     @property
     def channels(self):
         return self.w_q.shape[0]
 
     @classmethod
-    def init(cls, tape, prefix, channels, n_heads=1, kv_dim=None, out_scale=None,
-             seed=None):
-        """Xavier-ish Q/K/V; the output projection starts at zero unless
-        `out_scale` sets a (small) random magnitude.
+    def init(cls, tape, prefix, channels, *, out_scale, kv_dim=None, seed=None):
+        """Xavier-ish Q/K/V and a small random output projection whose scale
+        `out_scale` sets.
 
-        `seed` re-seeds the Q/K/V draw so several operators can share one
-        starting point; `kv_dim` sets a different key/value input dim.
+        `seed` re-seeds the draw so several operators can share one starting
+        point; `kv_dim` sets a different key/value input dim.
         """
         kv = kv_dim or channels
         rng = np.random.default_rng(seed) if seed is not None else tape.rng
@@ -74,11 +67,8 @@ class AttentionParams:
             w_q=tape.param(f"{prefix}.w_q", rng.standard_normal((channels, channels)) * sq),
             w_k=tape.param(f"{prefix}.w_k", rng.standard_normal((kv, channels)) * sk),
             w_v=tape.param(f"{prefix}.w_v", rng.standard_normal((kv, channels)) * sk),
-            w_o=(tape.zeros(f"{prefix}.w_o", (channels, channels)) if out_scale is None
-                 else tape.param(f"{prefix}.w_o",
-                                 rng.standard_normal((channels, channels))
-                                 * (out_scale * sq))),
-            n_heads=n_heads,
+            w_o=tape.param(f"{prefix}.w_o", rng.standard_normal((channels, channels))
+                           * (out_scale * sq)),
         )
 
 
@@ -96,36 +86,6 @@ def sdpa(q, k, v, bias=None):
     if bias is not None:
         bias = np.asarray(bias, dtype=logits.dtype)
     return matmul(softmax(logits, axis=-1, scale=1.0 / np.sqrt(d), bias=bias), v)
-
-
-def _split_heads(t, n_heads):
-    """[..., n, C] -> [..., heads, n, C/heads]."""
-    *lead, n, c = t.shape
-    k = len(lead)
-    return t.reshape(*lead, n, n_heads, c // n_heads) \
-            .transpose((*range(k), k + 1, k, k + 2))
-
-
-def _merge_heads(t):
-    """[..., heads, n, dh] -> [..., n, heads*dh]."""
-    *lead, n_heads, n, dh = t.shape
-    k = len(lead)
-    return t.transpose((*range(k), k + 1, k, k + 2)) \
-            .reshape(*lead, n, n_heads * dh)
-
-
-def _mha(q, k, v, n_heads, bias=None):
-    """Multi-head sdpa over [..., n, C] queries and [..., m, C] keys/values.
-
-    `bias` broadcasts against the [..., n, m] logits and is shared by every
-    head.
-    """
-    if n_heads == 1:
-        return sdpa(q, k, v, bias)
-    if bias is not None:
-        bias = np.expand_dims(bias, -3)
-    return _merge_heads(sdpa(_split_heads(q, n_heads), _split_heads(k, n_heads),
-                             _split_heads(v, n_heads), bias))
 
 
 def _to_tokens(x):
@@ -174,8 +134,7 @@ def adjacent_attention(stack: LatentStack, params: AttentionParams) -> LatentSta
         return _ring_window(t.reshape(b, f, h * w, c), axis=2) \
             .reshape(n, 3 * h * w, c)
 
-    out = matmul(_mha(q, ring_window(k), ring_window(v), params.n_heads),
-                 params.w_o)
+    out = matmul(sdpa(q, ring_window(k), ring_window(v)), params.w_o)
     return stack.with_data(_to_maps(out, h, w))
 
 
@@ -222,9 +181,8 @@ def trajectory_attention(stack: LatentStack, ring: ViewRing,
     padded = concat([edge, rows, edge], axis=2)
     band = concat([padded[:, :, :h], rows, padded[:, :, 2:]], axis=3) \
         .reshape(n, h, 9 * w, c)                                  # [n, H, 9W, C]
-    out = _mha(matmul(tokens, params.w_q), matmul(band, params.w_k),
-               matmul(band, params.w_v), params.n_heads,
-               _trajectory_bias(f, h, w))
+    out = sdpa(matmul(tokens, params.w_q), matmul(band, params.w_k),
+               matmul(band, params.w_v), _trajectory_bias(f, h, w))
     return stack.with_data(matmul(out, params.w_o).transpose((0, 3, 1, 2)))
 
 
@@ -242,8 +200,8 @@ class ScoreMapper:
         return self.w1.shape[0]
 
     @classmethod
-    def init(cls, tape, prefix, channels, text_dim, hidden=None):
-        hidden = hidden or max(channels, 8)
+    def init(cls, tape, prefix, channels, text_dim):
+        hidden = max(channels, 8)
         s = 1.0 / np.sqrt(channels + text_dim)
         return cls(
             w1=tape.normal(f"{prefix}.w1", (channels + text_dim, hidden), s),
@@ -316,7 +274,7 @@ def air_attention(stack: LatentStack, scores: Tensor, cfg: AirConfig,
     q_tok = _to_tokens(q_pool).reshape(b, f * nq, c)
     k_tok = _to_tokens(k_pool).reshape(b, f * nk, c)
     v_tok = _to_tokens(v_pool).reshape(b, f * nk, c)
-    out = _mha(q_tok, k_tok, v_tok, params.n_heads).reshape(n, nq, c)
+    out = sdpa(q_tok, k_tok, v_tok).reshape(n, nq, c)
     out = matmul(out, params.w_o)
     return stack.with_data(
         bilinear_upsample2d(_to_maps(out, h // cfg.tau, w // cfg.tau), cfg.tau))

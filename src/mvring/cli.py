@@ -117,16 +117,28 @@ def _training_batch(rset, manifest):
     }
 
 
-def _parse_sample_seeds(text):
-    """'0,1,2' -> [0, 1, 2]; a non-empty list of integers >= 0."""
-    try:
-        seeds = [int(s) for s in text.split(",")]
-    except ValueError:
-        seeds = []
-    if not seeds or min(seeds) < 0:
-        raise CliError(f"--sample-seeds must be a comma-separated list of "
-                       f"integers >= 0, got {text!r}", EXIT_CONFIG)
-    return seeds
+def _scan_strategy(text):
+    if text not in SCAN_STRATEGIES:
+        raise ValueError(f"unknown scan strategy {text!r}")
+    return text
+
+
+def _parse_entries(flag, text, parse):
+    """Comma-separated `text` -> {entry: parse(entry)} in order. An empty
+    entry, one that `parse` rejects, or one that parses to an earlier
+    entry's value exits 2 naming `flag`."""
+    out = {}
+    for e in map(str.strip, text.split(",")):
+        try:
+            if not e:
+                raise ValueError(f"empty entry in {text!r}")
+            value = parse(e)
+        except (CliError, ValueError) as exc:
+            raise CliError(f"{flag}: {exc}", EXIT_CONFIG) from None
+        if value in out.values():
+            raise CliError(f"{flag} repeats {e!r}", EXIT_CONFIG)
+        out[e] = value
+    return out
 
 
 def _check_train_args(args):
@@ -256,6 +268,9 @@ def cmd_gradcheck(args):
 def cmd_eval(args):
     rset, _ = dat.load_dataset(args.dataset)
     z = load_mvt(os.path.join(args.samples, "latents.mvt"))
+    if z.ndim != 4 or z.shape[1] != dn.LATENT_CHANNELS:
+        raise CliError(f"latents.mvt in {args.samples} holds shape {z.shape}, "
+                       f"expected [f, {dn.LATENT_CHANNELS}, h, w]", EXIT_IO)
     images = dn.decode_latents(z)
     if images.shape != rset.images.shape:
         raise CliError(f"samples decode to {images.shape}, dataset is "
@@ -274,20 +289,17 @@ def cmd_ablate(args):
     # reject bad sampling flags before training, not after
     dn.check_guidance(args.guidance)
     dn.ddim_timesteps(dn.ModelConfig.T, args.sample_steps)
-    sample_seeds = _parse_sample_seeds(args.sample_seeds)
+    stacks = _parse_entries("--stacks", args.stacks, parse_stack)
+    scans = list(_parse_entries("--scans", args.scans, _scan_strategy))
+    sample_seeds = list(_parse_entries("--sample-seeds", args.sample_seeds,
+                                       int).values())
+    if min(sample_seeds) < 0:
+        raise CliError("--sample-seeds must be integers >= 0", EXIT_CONFIG)
     rset, manifest = dat.load_dataset(args.dataset)
-    stacks = [s.strip() for s in args.stacks.split(",") if s.strip()]
-    scans = [s.strip() for s in args.scans.split(",") if s.strip()]
-    for s in scans:
-        if s not in SCAN_STRATEGIES:
-            raise CliError(f"unknown scan strategy {s!r}", EXIT_CONFIG)
-    if not stacks or not scans:
-        raise CliError("need at least one stack and one scan strategy", EXIT_CONFIG)
     os.makedirs(args.out, exist_ok=True)
     gt_decoded = dn.decode_latents(dn.encode_images(rset.images))
     rows = []
-    for stack_text in stacks:
-        flags = parse_stack(stack_text)
+    for flags in stacks.values():
         trained = None
         for scan in scans:
             # only rg reads the scan strategy, so an rg-free stack trains once
@@ -316,7 +328,7 @@ def cmd_ablate(args):
     _write_manifest(os.path.join(args.out, "run.json"), {
         "command": "ablate",
         "dataset": os.path.abspath(args.dataset),
-        "stacks": stacks,
+        "stacks": list(stacks),
         "scans": scans,
         "seed": args.seed,
         "sample_seeds": sample_seeds,

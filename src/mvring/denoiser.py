@@ -211,11 +211,8 @@ class ModelConfig:
     latent_w: int = 8
     channels: int = 16
     blocks: int = 1
-    n_heads: int = 1
     text_dim: int = 16
     d_state: int = 4
-    tau: int = 2
-    rho: int = 4
     enable_aa: bool = True
     enable_dr: bool = True
     enable_rg: bool = True
@@ -416,24 +413,24 @@ class MvDenoiser:
             )
             if config.enable_aa:
                 blk.aa_norm = NormParams.init(t, f"{pre}.aa_norm", c)
-                blk.aa = AttentionParams.init(t, f"{pre}.aa", c, config.n_heads,
-                                              out_scale=oscale, seed=attn_seed + b)
+                blk.aa = AttentionParams.init(t, f"{pre}.aa", c, out_scale=oscale,
+                                              seed=attn_seed + b)
             if config.enable_dr:
                 blk.dr_norm = NormParams.init(t, f"{pre}.dr_norm", c)
-                blk.dr = AttentionParams.init(t, f"{pre}.dr", c, config.n_heads,
-                                              out_scale=oscale, seed=attn_seed + b)
+                blk.dr = AttentionParams.init(t, f"{pre}.dr", c, out_scale=oscale,
+                                              seed=attn_seed + b)
             if config.enable_rg:
                 blk.rg = SsmParams.init(t, f"{pre}.rg", c, config.d_state,
                                         out_scale=oscale)
             if config.enable_air:
                 blk.air_norm = NormParams.init(t, f"{pre}.air_norm", c)
-                blk.air = AttentionParams.init(t, f"{pre}.air", c, config.n_heads,
-                                               out_scale=oscale, seed=attn_seed + b)
+                blk.air = AttentionParams.init(t, f"{pre}.air", c, out_scale=oscale,
+                                               seed=attn_seed + b)
                 blk.smap = ScoreMapper.init(t, f"{pre}.smap", c, config.text_dim)
             self.blocks.append(blk)
         self.head_norm = NormParams.init(t, "head_norm", c)
         self.head = ConvParams.init(t, "head", c, LATENT_CHANNELS, zero=True)
-        self.air_cfg = AirConfig(tau=config.tau, rho=config.rho)
+        self.air_cfg = AirConfig()
 
     def params(self):
         return self.tape.tensors()
@@ -663,7 +660,7 @@ def gradcheck_loss(seed=0):
     `loss()` runs a fresh forward pass and returns the scalar MSE.
     """
     config = ModelConfig(f=2, latent_h=4, latent_w=4, channels=8, blocks=1,
-                         text_dim=8, d_state=2, tau=2, rho=4)
+                         text_dim=8, d_state=2)
     model = MvDenoiser(config, seed=seed)
     rng = np.random.default_rng(seed)
     z0 = rng.standard_normal((config.f, LATENT_CHANNELS, config.latent_h,

@@ -131,11 +131,11 @@ class SsmParams:
                 self.w_b, self.b_b, self.w_c, self.b_c]
 
     @classmethod
-    def init(cls, tape, prefix, d_model, d_state, out_scale=None):
+    def init(cls, tape, prefix, d_model, d_state, *, out_scale):
         """Stable default init: A = -(1..N), delta ~ softplus(0) per token.
 
-        The output projection starts at zero (operator is a no-op inside its
-        residual) unless `out_scale` sets a small random magnitude.
+        The output projection w_c is random at the magnitude `out_scale`
+        sets; zeroed, it makes the operator a no-op inside its residual.
         """
         a0 = np.log(np.tile(np.arange(1, d_state + 1, dtype=np.float64),
                             (d_model, 1)))
@@ -146,9 +146,8 @@ class SsmParams:
             b_delta=tape.zeros(f"{prefix}.b_delta", (d_model,)),
             w_b=tape.normal(f"{prefix}.w_b", (d_model, d_state), 1.0 / np.sqrt(d_model)),
             b_b=tape.zeros(f"{prefix}.b_b", (d_state,)),
-            w_c=(tape.zeros(f"{prefix}.w_c", (d_model, d_state)) if out_scale is None
-                 else tape.normal(f"{prefix}.w_c", (d_model, d_state),
-                                  out_scale / np.sqrt(d_model))),
+            w_c=tape.normal(f"{prefix}.w_c", (d_model, d_state),
+                            out_scale / np.sqrt(d_model)),
             b_c=tape.zeros(f"{prefix}.b_c", (d_state,)),
         )
 

@@ -591,20 +591,16 @@ def conv3x3(x, w, b):
     return out
 
 
-def take_rows(x, idx, inverse=None):
-    """Gather rows of x along axis 0 with an integer index array.
+def take_rows(x, idx, inverse):
+    """Gather rows of x along axis 0 with a permutation `idx`.
 
-    Output shape is idx.shape + x.shape[1:]. The backward pass scatter-adds;
-    pass `inverse` when idx is a permutation (backward becomes a gather).
+    Output shape is idx.shape + x.shape[1:]. `inverse` is the inverse
+    permutation (`np.argsort(idx)`); the backward pass gathers with it.
     """
-    idx = np.asarray(idx)
     out = Tensor(np.take(x.data, idx, axis=0), _parents=(x,))
 
     def backward(g):
-        if inverse is not None:
-            _acc(x, np.take(g, inverse, axis=0))
-        else:
-            np.add.at(_owned_grad(x), idx, g)
+        _acc(x, np.take(g, inverse, axis=0))
 
     out._backward = backward if out.requires_grad else None
     return out

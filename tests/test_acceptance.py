@@ -208,7 +208,7 @@ def test_criterion_6_diffusion_identities():
         ddim_err = max(ddim_err, float(np.max(np.abs(rec - z0))))
 
     config = dn.ModelConfig(f=2, latent_h=4, latent_w=4, channels=8, blocks=1,
-                            text_dim=8, d_state=2, tau=2, rho=4)
+                            text_dim=8, d_state=2)
     model = dn.MvDenoiser(config, seed=0)
     text = dn.ToyTextEncoder(dim=8).embed_prompt("a cube")
     batch = {"z0": z0, "text": text, "null": np.zeros_like(text)}

@@ -23,10 +23,8 @@ def np_sdpa(q, k, v):
     return np_softmax(q @ k.T / math.sqrt(q.shape[-1])) @ v
 
 
-def random_params(seed, c, n_heads=1, kv_dim=None):
-    tape = Tape(seed)
-    return AttentionParams.init(tape, "p", c, n_heads=n_heads, kv_dim=kv_dim,
-                                out_scale=1.0)
+def random_params(seed, c):
+    return AttentionParams.init(Tape(seed), "p", c, out_scale=1.0)
 
 
 def to_tokens(arr):
@@ -134,25 +132,6 @@ class TestAdjacentAttention:
         with pytest.raises(ValueError, match="channels"):
             adjacent_attention(stack, p)
 
-    def test_multi_head_matches_per_head_oracle(self, rng):
-        ring = ViewRing(f=3, W=2, H=2)
-        p = random_params(5, 8, n_heads=2)
-        z = rng.standard_normal((3, 8, 2, 2))
-        got = adjacent_attention(LatentStack(Tensor(z), ring), p).data.data
-        toks = to_tokens(z)
-        outs = []
-        for i in range(3):
-            cat = np.concatenate([toks[(i - 1) % 3], toks[i], toks[(i + 1) % 3]])
-            q = toks[i] @ p.w_q.data
-            k = cat @ p.w_k.data
-            v = cat @ p.w_v.data
-            heads = [np_sdpa(q[:, h * 4:(h + 1) * 4], k[:, h * 4:(h + 1) * 4],
-                             v[:, h * 4:(h + 1) * 4]) for h in (0, 1)]
-            outs.append(np.concatenate(heads, axis=1) @ p.w_o.data)
-        want = to_maps(np.stack(outs), 2, 2)
-        assert np.max(np.abs(got - want)) <= 1e-10
-
-
 class TestTrajectoryAttention:
     def test_uniform_features_pass_through_identity_projections(self):
         ring = ViewRing(f=1, W=4, H=4)
@@ -209,34 +188,6 @@ class TestTrajectoryAttention:
                         q[i, y * 8 + x][None], np.stack(ks), np.stack(vs)
                     )[0] @ p.w_o.data
         want = to_maps(out, 8, 8)
-        assert np.max(np.abs(got - want)) <= 1e-10
-
-    def test_multi_head_matches_per_head_oracle(self, rng):
-        ring = ViewRing(f=3, W=6, H=4)
-        p = random_params(10, 8, n_heads=2)
-        z = rng.standard_normal((3, 8, 4, 6))
-        got = trajectory_attention(LatentStack(Tensor(z), ring), ring, p).data.data
-        toks = to_tokens(z)
-        q = toks @ p.w_q.data
-        k = toks @ p.w_k.data
-        v = toks @ p.w_v.data
-        out = np.empty_like(toks)
-        for i in range(3):
-            for y in range(4):
-                for x in range(6):
-                    sel = [((i + off) % 3, r * 6 + c) for off in (-1, 0, 1)
-                           for c, r in trajectory_window(
-                               x, y, delta_azimuth(ring, i, (i + off) % 3),
-                               6, 4)]
-                    ks = np.stack([k[j, t] for j, t in sel])
-                    vs = np.stack([v[j, t] for j, t in sel])
-                    qp = q[i, y * 6 + x][None]
-                    heads = [np_sdpa(qp[:, h * 4:(h + 1) * 4],
-                                     ks[:, h * 4:(h + 1) * 4],
-                                     vs[:, h * 4:(h + 1) * 4]) for h in (0, 1)]
-                    out[i, y * 6 + x] = np.concatenate(heads, axis=1)[0] \
-                        @ p.w_o.data
-        want = to_maps(out, 4, 6)
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_cyclic_relabelling_equivariance_bitwise(self, rng):
@@ -308,25 +259,6 @@ class TestAirAttention:
         outs = [np_sdpa(toks[i] @ p.w_q.data, kc, vc) @ p.w_o.data
                 for i in range(4)]
         want = to_maps(np.stack(outs), 4, 4)
-        assert np.max(np.abs(got - want)) <= 1e-10
-
-    def test_multi_head_matches_per_head_oracle(self, rng):
-        ring = ViewRing(f=3, W=2, H=2)
-        p = random_params(14, 8, n_heads=2)
-        z = rng.standard_normal((3, 8, 2, 2))
-        got = air_attention(LatentStack(Tensor(z), ring),
-                            Tensor(np.ones((3, 1, 2, 2))), AirConfig(1, 1),
-                            p).data.data
-        toks = to_tokens(z)
-        k = (toks @ p.w_k.data).reshape(-1, 8)
-        v = (toks @ p.w_v.data).reshape(-1, 8)
-        outs = []
-        for i in range(3):
-            q = toks[i] @ p.w_q.data
-            heads = [np_sdpa(q[:, h * 4:(h + 1) * 4], k[:, h * 4:(h + 1) * 4],
-                             v[:, h * 4:(h + 1) * 4]) for h in (0, 1)]
-            outs.append(np.concatenate(heads, axis=1) @ p.w_o.data)
-        want = to_maps(np.stack(outs), 2, 2)
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_zero_scores_zero_output(self, rng):
@@ -447,10 +379,9 @@ class TestOperatorGradients:
 class TestRingBatches:
     """A stack of B rings [B*f, C, H, W] mixes views within each ring only."""
 
-    @pytest.mark.parametrize("n_heads", [1, 2])
-    def test_operators_match_single_ring_calls(self, rng, n_heads):
+    def test_operators_match_single_ring_calls(self, rng):
         ring = ViewRing(f=3, W=4, H=4)
-        p = random_params(20, 4, n_heads=n_heads)
+        p = random_params(20, 4)
         mapper = ScoreMapper.init(Tape(21), "sm", 4, 3)
         z = rng.standard_normal((6, 4, 4, 4))
         text = rng.standard_normal((2, 3))

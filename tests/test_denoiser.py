@@ -20,7 +20,7 @@ from mvring.tensor import Tape, Tensor, grad_check, no_grad
 
 def mini_config(**over):
     base = dict(f=2, latent_h=4, latent_w=4, channels=8, blocks=1,
-                text_dim=8, d_state=2, tau=2, rho=4)
+                text_dim=8, d_state=2)
     base.update(over)
     return ModelConfig(**base)
 
@@ -244,9 +244,8 @@ class TestBatchedDenoise:
     @pytest.mark.parametrize("over, kw", [
         ({}, {}),
         ({}, {"mode_2d": True}),
-        ({"n_heads": 2}, {}),
         ({"scan_strategy": "row-major"}, {}),
-    ], ids=["full", "mode_2d", "two_heads", "row_major"])
+    ], ids=["full", "mode_2d", "row_major"])
     def test_two_rings_match_single_ring_calls(self, over, kw, rng):
         model = _jittered(mini_config(f=3, **over), seed=21)
         z = rng.standard_normal((2, 3, 3, 4, 4))
@@ -270,10 +269,9 @@ class TestBatchedDenoise:
     @pytest.mark.parametrize("over, kw", [
         ({}, {}),
         ({}, {"mode_2d": True}),
-        ({"n_heads": 2}, {}),
         ({"scan_strategy": "row-major"}, {}),
         ({"blocks": 2}, {}),
-    ], ids=["full", "mode_2d", "two_heads", "row_major", "two_blocks"])
+    ], ids=["full", "mode_2d", "row_major", "two_blocks"])
     def test_one_ring_under_many_prompts_matches_stacked_copies(self, over, kw,
                                                                 rng):
         model = _jittered(mini_config(f=3, **over), seed=25)

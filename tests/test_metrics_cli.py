@@ -13,6 +13,7 @@ from mvring.cli import CSV_HEADER, main, parse_stack, pin_malloc_thresholds
 from mvring.data import ground_truth_correspondence
 from mvring.metrics import (adjacent_pairs, consistency_metric, psnr,
                             read_ppm, write_ppm)
+from mvring.tensor import save_mvt
 
 
 class TestConsistency:
@@ -337,7 +338,7 @@ class TestCliPipeline:
                      "--out", str(tmp_path / "o"), flag, value]) == 2
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("seeds", ["-1", "0,,1", "a", ""])
+    @pytest.mark.parametrize("seeds", ["-1", "0,,1", "a", "", "0,0"])
     def test_ablate_bad_sample_seeds_fail_before_training(
             self, dataset_dir, tmp_path, capsys, seeds):
         assert main(["ablate", "--dataset", str(dataset_dir),
@@ -346,14 +347,27 @@ class TestCliPipeline:
         assert "--sample-seeds" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--stacks", "aa,aa"), ("--stacks", "aa+dr,dr+aa"),
+        ("--stacks", "aa,bogus"), ("--stacks", "aa,"),
+        ("--scans", "row-major,row-major")])
+    def test_ablate_repeated_or_bad_entries_fail_before_training(
+            self, dataset_dir, tmp_path, capsys, flag, value):
+        assert main(["ablate", "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "o"), f"{flag}={value}"]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("edit", [
         "unknown_key", "no_config", "bad_value", "zero_blocks", "zero_tau",
         "bad_heads", "zero_f", "zero_latent_h", "retired_guidance",
         "retired_params", "zero_text_dim", "fractional_f", "zero_T",
-        "string_enable_aa", "param_names_int", "param_names_mixed"])
+        "string_enable_aa", "param_names_int", "param_names_mixed",
+        "retired_heads_strides"])
     def test_bad_checkpoint_config_is_io_error(self, tmp_path, capsys, edit):
         """Configs that ModelConfig or the model it builds reject exit 3, as
-        do checkpoints of the format that had text-attention q/k and norm."""
+        do checkpoints of the formats that had text-attention q/k and norm,
+        or attention heads and AIR strides in the config."""
         from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
         ck = tmp_path / "ck"
         save_checkpoint(MvDenoiser(ModelConfig(f=2, latent_h=4, latent_w=4,
@@ -391,6 +405,8 @@ class TestCliPipeline:
             manifest["param_names"] = 5
         elif edit == "param_names_mixed":
             manifest["param_names"] = [1, "a"]
+        elif edit == "retired_heads_strides":
+            config.update(n_heads=1, tau=2, rho=4)
         else:
             del manifest["config"]
         (ck / "checkpoint.json").write_text(json.dumps(manifest))
@@ -452,6 +468,26 @@ class TestCliPipeline:
         (sm / "latents.mvt").write_bytes(b"garbage")
         assert main(["eval", "--dataset", str(dataset_dir),
                      "--samples", str(sm)]) == 3
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 3, 4), (3, 3, 4, 4, 1)])
+    def test_malformed_latents_eval_is_io_error(self, dataset_dir, tmp_path,
+                                                capsys, shape):
+        sm = tmp_path / "s"
+        sm.mkdir()
+        save_mvt(str(sm / "latents.mvt"), np.zeros(shape))
+        assert main(["eval", "--dataset", str(dataset_dir),
+                     "--samples", str(sm)]) == 3
+        err = capsys.readouterr().err
+        assert "latents.mvt" in err and "[f, 3, h, w]" in err
+
+    def test_latents_of_another_ring_eval_is_config_error(self, dataset_dir,
+                                                           tmp_path, capsys):
+        sm = tmp_path / "s"
+        sm.mkdir()
+        save_mvt(str(sm / "latents.mvt"), np.zeros((2, 3, 4, 4)))
+        assert main(["eval", "--dataset", str(dataset_dir),
+                     "--samples", str(sm)]) == 2
+        assert "samples decode to" in capsys.readouterr().err
 
     def test_missing_samples_eval_error(self, dataset_dir, tmp_path, capsys):
         sm = tmp_path / "s"

@@ -16,8 +16,8 @@ from mvring.tensor import (Tape, Tensor, grad_check, linear_recurrence, matmul,
                            no_grad)
 
 
-def make_params(tape, d, n, out_random=True):
-    return SsmParams.init(tape, "ssm", d, n, out_scale=1.0 if out_random else None)
+def make_params(tape, d, n):
+    return SsmParams.init(tape, "ssm", d, n, out_scale=1.0)
 
 
 def hand_params():
@@ -310,7 +310,8 @@ class TestRapidGlance:
 
     def test_zero_output_projection_is_identity(self, rng):
         tape = Tape(6)
-        p = SsmParams.init(tape, "s", 5, 3, out_scale=None)  # w_c = 0
+        p = SsmParams.init(tape, "s", 5, 3, out_scale=1.0)
+        p.w_c.data[:] = 0.0
         ring = ViewRing(f=3, W=4, H=4)
         z = rng.standard_normal((3, 5, 4, 4))
         out = rapid_glance(LatentStack(Tensor(z), ring), p).data.data
