@@ -13,11 +13,10 @@ from .attention import (AirConfig, AttentionParams, ScoreMapper,
 from .data import (RenderedSet, SceneSpec, ground_truth_correspondence,
                    load_dataset, make_scene, render_views, save_dataset)
 from .denoiser import (ModelConfig, MvDenoiser, NoiseSchedule, ToyTextEncoder,
-                       add_noise, ddim_sample, decode_latents, embed_camera,
-                       encode_images, load_checkpoint, prompt_template,
-                       save_checkpoint, train_loop, training_step)
-from .geometry import (LatentStack, PixelCorrespondence, ViewRing,
-                       delta_azimuth, project_rotated_x,
+                       add_noise, ddim_sample, decode_latents, encode_images,
+                       load_checkpoint, prompt_template, save_checkpoint,
+                       train_loop, training_step)
+from .geometry import (LatentStack, ViewRing, delta_azimuth, project_rotated_x,
                        project_rotated_x_simplified, trajectory_window)
 from .metrics import consistency_metric, psnr, write_ppm
 from .scan import (ScanOrder, SsmParams, build_scan_order, discretize_zoh,
@@ -34,11 +33,11 @@ __all__ = [
     "RenderedSet", "SceneSpec", "ground_truth_correspondence", "load_dataset",
     "make_scene", "render_views", "save_dataset",
     "ModelConfig", "MvDenoiser", "NoiseSchedule", "ToyTextEncoder",
-    "add_noise", "ddim_sample", "decode_latents", "embed_camera",
-    "encode_images", "load_checkpoint", "prompt_template", "save_checkpoint",
-    "train_loop", "training_step",
-    "LatentStack", "PixelCorrespondence", "ViewRing", "delta_azimuth",
-    "project_rotated_x", "project_rotated_x_simplified", "trajectory_window",
+    "add_noise", "ddim_sample", "decode_latents", "encode_images",
+    "load_checkpoint", "prompt_template", "save_checkpoint", "train_loop",
+    "training_step",
+    "LatentStack", "ViewRing", "delta_azimuth", "project_rotated_x",
+    "project_rotated_x_simplified", "trajectory_window",
     "consistency_metric", "psnr", "write_ppm",
     "ScanOrder", "SsmParams", "build_scan_order", "discretize_zoh",
     "rapid_glance", "selective_scan", "selective_scan_sequential",

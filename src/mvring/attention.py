@@ -217,7 +217,7 @@ def score_map(stack: LatentStack, text_emb, mapper: ScoreMapper) -> Tensor:
     `text_emb` is one embedding [text_dim], or one per ring [B, text_dim].
     """
     n, c, h, w = stack.data.shape
-    e = text_emb.data if isinstance(text_emb, Tensor) else np.asarray(text_emb)
+    e = np.asarray(text_emb)
     if e.ndim not in (1, 2) or c + e.shape[-1] != mapper.in_dim \
             or e.reshape(-1, e.shape[-1]).shape[0] != stack.rings:
         raise ValueError(f"mapper expects dim {mapper.in_dim} and one embedding "

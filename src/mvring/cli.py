@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import math
 import os
 import sys
 
@@ -187,7 +188,10 @@ def cmd_gen_data(args):
         try:
             elev = float(args.elevation)
         except ValueError:
-            raise CliError(f"bad --elevation {args.elevation!r}", EXIT_CONFIG)
+            elev = math.nan
+        if not math.isfinite(elev):
+            raise CliError(f"--elevation must be a finite number of degrees or "
+                           f"'random', got {args.elevation!r}", EXIT_CONFIG)
     ring = ViewRing(f=args.views, elevation_deg=elev, distance=2.0,
                     W=args.res, H=args.res)
     scene = dat.make_scene(args.seed)
@@ -256,6 +260,10 @@ def cmd_gradcheck(args):
     if args.max_entries is not None and args.max_entries < 1:
         raise CliError(f"--max-entries must be >= 1, got {args.max_entries}",
                        EXIT_CONFIG)
+    if not (math.isfinite(args.eps) and args.eps > 0.0):
+        raise CliError(f"--eps must be finite and > 0, got {args.eps}", EXIT_CONFIG)
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise CliError(f"--tol must be finite and >= 0, got {args.tol}", EXIT_CONFIG)
     loss, params = dn.gradcheck_loss(args.seed)
     report = grad_check(loss, params, eps=args.eps, tol=args.tol,
                         max_entries=args.max_entries)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,15 +76,6 @@ class Primitive:
     size: tuple          # box half-extents xyz; spheres use (r, r, r)
     color: str
 
-    def to_dict(self):
-        return {"kind": self.kind, "center": list(self.center),
-                "size": list(self.size), "color": self.color}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(kind=d["kind"], center=tuple(d["center"]),
-                   size=tuple(d["size"]), color=d["color"])
-
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -94,16 +85,6 @@ class SceneSpec:
     @property
     def prompt(self):
         return " and ".join(f"a {p.color} {p.kind}" for p in self.primitives)
-
-    def to_dict(self):
-        return {"seed": self.seed,
-                "primitives": [p.to_dict() for p in self.primitives]}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(seed=d["seed"],
-                   primitives=tuple(Primitive.from_dict(p)
-                                    for p in d["primitives"]))
 
 
 def make_scene(seed) -> SceneSpec:
@@ -222,12 +203,9 @@ def render_views(scene: SceneSpec, ring: ViewRing) -> RenderedSet:
 class Correspondence:
     """Per-pixel map from view i into view j; invalid where there is none."""
 
-    i: int
-    j: int
     cols: np.ndarray    # [H, W] target column
     rows: np.ndarray    # [H, W] target row
     valid: np.ndarray   # [H, W] bool
-    depth_px: np.ndarray = field(default=None)  # source depth, fg only
 
 
 def ground_truth_correspondence(rset: RenderedSet, i, j,
@@ -258,8 +236,7 @@ def ground_truth_correspondence(rset: RenderedSet, i, j,
     proj_depth = (points @ fwd_j) * ppw
     visible = inb & np.isfinite(tgt_depth) & \
         (np.abs(proj_depth - tgt_depth) <= depth_tol)
-    return Correspondence(i=i, j=j, cols=cols, rows=rows, valid=visible,
-                          depth_px=np.where(fg, d_px, np.nan))
+    return Correspondence(cols=cols, rows=rows, valid=visible)
 
 
 # -- dataset directory IO -----------------------------------------------------

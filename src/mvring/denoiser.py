@@ -128,7 +128,6 @@ class ToyTextEncoder:
         self.vocab = vocab
         self.table = rng.standard_normal((vocab, dim)) / math.sqrt(dim)
         self.null = rng.standard_normal(dim) / math.sqrt(dim)
-        self.last_tokens = []
 
     @staticmethod
     def tokenize(text):
@@ -141,7 +140,6 @@ class ToyTextEncoder:
     def embed_prompt(self, prompt):
         """Mean-pooled token embedding; tokenless input embeds as null."""
         tokens = self.tokenize(prompt)
-        self.last_tokens = tokens
         if not tokens:
             return self.null.copy()
         rows = self.table[[self.token_id(t) for t in tokens]]
@@ -191,12 +189,6 @@ class Mlp2:
 
     def __call__(self, x):
         return matmul((matmul(x, self.w1) + self.b1).silu(), self.w2) + self.b2
-
-
-def embed_camera(azimuth_deg, elevation_deg, mlp: Mlp2, n_freq=4):
-    """High-dimensional camera conditioning vector for one ring position."""
-    feats = Tensor(camera_features(azimuth_deg, elevation_deg, n_freq)[None, :])
-    return mlp(feats)
 
 
 # -- config ----------------------------------------------------------------------
@@ -267,11 +259,9 @@ def encode_images(images):
     return pooled * 2.0 - 1.0
 
 
-def decode_latents(z, upsample=True):
-    """Latents back to [f,H,W,3] images in [0,1] (bilinear 4x by default)."""
+def decode_latents(z):
+    """Latents back to [f,H,W,3] images in [0,1], bilinearly upsampled 4x."""
     rgb = np.clip((np.asarray(z) + 1.0) / 2.0, 0.0, 1.0)
-    if not upsample:
-        return rgb.transpose(0, 2, 3, 1)
     up = bilinear_upsample2d(Tensor(rgb), LATENT_FACTOR).data
     return np.clip(up, 0.0, 1.0).transpose(0, 2, 3, 1)
 
@@ -431,6 +421,9 @@ class MvDenoiser:
         self.head_norm = NormParams.init(t, "head_norm", c)
         self.head = ConvParams.init(t, "head", c, LATENT_CHANNELS, zero=True)
         self.air_cfg = AirConfig()
+        self.cam_feats = np.stack([                               # [f, 4*nf]
+            camera_features(self.ring.azimuth_deg(v), self.ring.elevation_deg, nf)
+            for v in range(config.f)])
 
     def params(self):
         return self.tape.tensors()
@@ -438,52 +431,40 @@ class MvDenoiser:
     def named_params(self):
         return self.tape.named()
 
-    def _embeddings(self, t, camera_shift=0):
-        cfg = self.config
+    def _embeddings(self, t):
+        """Per-view camera embedding plus the timestep embedding, [f, C]."""
         tf = Tensor(time_features(t, self.n_freq)[None, :])
-        temb = self.time_mlp(tf)                                  # [1, C]
-        feats = np.stack([
-            camera_features(self.ring.azimuth_deg((v + camera_shift) % cfg.f),
-                            self.ring.elevation_deg, self.n_freq)
-            for v in range(cfg.f)])
-        cemb = self.cam_mlp(Tensor(feats))                        # [f, C]
-        return cemb + temb
+        return self.cam_mlp(Tensor(self.cam_feats)) + self.time_mlp(tf)
 
-    def denoise(self, z_t, t, text_emb, mode_2d=False, camera_shift=0):
-        """Predict the injected noise for a latent stack at step t.
+    def denoise(self, z_t, t, text_emb, mode_2d=False):
+        """Predict the injected noise for one ring of latents at step t.
 
-        z_t is one ring [f, 3, H, W] or B rings [B, f, 3, H, W]; text_emb is
-        one embedding [text_dim], or one per ring [B, text_dim]. One ring
-        with B embeddings is denoised as B copies of that ring, one per
-        prompt, and the output is [B, f, 3, H, W]; otherwise it has the
-        shape of z_t. Rings share t and are denoised independently. The
-        prompt-free trunk (stem conv, block 0's res block) runs once for a
-        shared ring, which is repeated into B rings just before the first
-        text shift. mode_2d bypasses every cross-view operator, leaving the
-        per-view text-to-image path. camera_shift relabels which ring camera
-        each view slot is conditioned on (used by the equivariance property).
+        z_t is the ring [f, 3, H, W]. text_emb is one embedding [text_dim],
+        and the output has the shape of z_t; or it is B embeddings
+        [B, text_dim], and the ring is denoised under each prompt into
+        [B, f, 3, H, W]. The prompt-free trunk (stem conv, block 0's res
+        block) runs once, and its output is repeated into B rings just
+        before the first text shift. mode_2d bypasses every cross-view
+        operator, leaving the per-view text-to-image path.
         """
         cfg = self.config
         x = z_t if isinstance(z_t, Tensor) else Tensor(np.asarray(z_t))
         view = (cfg.f, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w)
-        if x.ndim not in (4, 5) or x.shape[-4:] != view:
+        if x.shape != view:
             raise ValueError(f"latent stack shape {x.shape} does not match "
-                             f"config {view} or [B, *{view}]")
+                             f"config {view}")
         e = np.asarray(text_emb)
+        if e.ndim not in (1, 2):
+            raise ValueError(f"text embedding shape {e.shape} is neither "
+                             f"[text_dim] nor [B, text_dim]")
         b = e.shape[0] if e.ndim == 2 else 1
-        if e.ndim not in (1, 2) or (x.ndim == 5 and (e.ndim != 2 or x.shape[0] != b)):
-            raise ValueError(f"text embedding shape {e.shape} does not fit "
-                             f"latent stack shape {x.shape}")
-        out_shape = (b, *view) if e.ndim == 2 else view
-        if x.ndim == 5:
-            x = x.reshape(b * cfg.f, *view[1:])
-        emb = self._embeddings(t, camera_shift)                   # [f, C]
-        rings_emb = concat([emb] * b, axis=0) if b > 1 else emb   # [B*f, C]
+        emb = self._embeddings(t)                                 # [f, C]
         x = conv3x3(x, self.stem.w, self.stem.b)
         for blk in self.blocks:
-            x = res_block(x, rings_emb if x.shape[0] > cfg.f else emb, blk.res)
-            if x.shape[0] < b * cfg.f:
-                x = concat([x] * b, axis=0)                       # B whole rings
+            x = res_block(x, emb, blk.res)
+            if x.shape[0] < b * cfg.f:                            # B whole rings
+                x = concat([x] * b, axis=0)
+                emb = concat([emb] * b, axis=0)
             x = cross_attention(x, text_emb, None, blk.ca)
             if not mode_2d:
                 if cfg.enable_aa:
@@ -503,7 +484,7 @@ class MvDenoiser:
                     x = x + air_attention(ns, scores, self.air_cfg, blk.air).data
         x = channel_norm(x, self.head_norm.gain, self.head_norm.bias).silu()
         out = conv3x3(x, self.head.w, self.head.b)
-        return out.reshape(out_shape) if len(out_shape) == 5 else out
+        return out.reshape(b, *view) if e.ndim == 2 else out
 
 
 # -- training -----------------------------------------------------------------------

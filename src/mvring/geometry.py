@@ -18,7 +18,6 @@ from .tensor import Tensor
 __all__ = [
     "ViewRing",
     "LatentStack",
-    "PixelCorrespondence",
     "delta_azimuth",
     "project_rotated_x",
     "project_rotated_x_simplified",
@@ -134,21 +133,3 @@ def trajectory_window(x, y, delta_deg, W, H):
     cols = [c for c in (cx - 1, cx, cx + 1) if 0 <= c < W]
     rows = [r for r in (cy - 1, cy, cy + 1) if 0 <= r < H]
     return [(c, r) for r in rows for c in cols]
-
-
-@dataclass(frozen=True)
-class PixelCorrespondence:
-    """Predicted location of a source pixel after an azimuth change."""
-
-    x: int
-    y: int
-    delta_deg: float
-    depth_px: float
-    x_pred: float
-    y_pred: int
-
-    @classmethod
-    def predict(cls, x, y, delta_deg, depth_px, W):
-        return cls(x=x, y=y, delta_deg=delta_deg, depth_px=depth_px,
-                   x_pred=project_rotated_x(x, delta_deg, depth_px, W),
-                   y_pred=y)

@@ -19,13 +19,12 @@ __all__ = [
 PSNR_CAP_DB = 99.0
 
 
-def adjacent_pairs(f, backward=False):
-    """Ordered ring-neighbour view pairs (i, i+1) or (i, i-1)."""
-    step = -1 if backward else 1
-    return [(i, (i + step) % f) for i in range(f)]
+def adjacent_pairs(f):
+    """Ordered ring-neighbour view pairs (i, i+1)."""
+    return [(i, (i + 1) % f) for i in range(f)]
 
 
-def consistency_metric(images, reference: RenderedSet, backward=False):
+def consistency_metric(images, reference: RenderedSet):
     """Mean RGB distance between corresponded pixels of adjacent views.
 
     `images` is any [f, H, W, 3] stack rendered or sampled on the reference
@@ -39,7 +38,7 @@ def consistency_metric(images, reference: RenderedSet, backward=False):
         raise ValueError(f"images {images.shape} do not match the reference "
                          f"set {reference.images.shape}")
     per_pair = []
-    for i, j in adjacent_pairs(f, backward=backward):
+    for i, j in adjacent_pairs(f):
         corr = ground_truth_correspondence(reference, i, j)
         ys, xs = np.nonzero(corr.valid)
         if ys.size == 0:

@@ -2,7 +2,7 @@
 
 Tensors wrap numpy arrays (float64 by default, float32 supported) and record
 a dynamic graph over a closed primitive set: matmul, elementwise arithmetic,
-exp/log/sqrt/sigmoid/softplus, softmax, layer norm, reductions,
+exp/sigmoid/softplus/silu, softmax, layer norm, reductions,
 reshape/transpose/concat, basic slicing, row gather, 3x3 convolution,
 average pooling, bilinear upsampling, a first-order linear recurrence,
 and the selective-SSM recurrence beneath the scan as one node with a
@@ -266,25 +266,6 @@ class Tensor:
 
         def backward(g):
             _acc(self, g * y)
-
-        out._backward = backward if out.requires_grad else None
-        return out
-
-    def log(self):
-        out = Tensor(np.log(self.data), _parents=(self,))
-
-        def backward(g):
-            _acc(self, g / self.data)
-
-        out._backward = backward if out.requires_grad else None
-        return out
-
-    def sqrt(self):
-        y = np.sqrt(self.data)
-        out = Tensor(y, _parents=(self,))
-
-        def backward(g):
-            _acc(self, g * (0.5 / y))
 
         out._backward = backward if out.requires_grad else None
         return out

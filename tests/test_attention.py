@@ -215,7 +215,7 @@ class TestScoreMap:
                              w2=Tensor(np.zeros((5, 1))), b2=Tensor(np.zeros(1)))
         stack = LatentStack(Tensor(rng.standard_normal((2, 4, 2, 2))),
                             ViewRing(f=2, W=2, H=2))
-        s = score_map(stack, Tensor(np.zeros(3)), mapper).data
+        s = score_map(stack, np.zeros(3), mapper).data
         assert s.shape == (2, 1, 2, 2)
         assert np.all(s == 0.5)
 
@@ -224,7 +224,7 @@ class TestScoreMap:
         mapper = ScoreMapper.init(tape, "m", 4, 3)
         stack = LatentStack(Tensor(rng.standard_normal((3, 4, 4, 4)) * 50),
                             ViewRing(f=3, W=4, H=4))
-        s = score_map(stack, Tensor(rng.standard_normal(3)), mapper).data
+        s = score_map(stack, rng.standard_normal(3), mapper).data
         assert np.all(s > 0.0) and np.all(s < 1.0)
 
     def test_distinct_prompts_give_distinct_maps(self, rng):
@@ -232,8 +232,8 @@ class TestScoreMap:
         mapper = ScoreMapper.init(tape, "m", 4, 3)
         stack = LatentStack(Tensor(rng.standard_normal((2, 4, 2, 2))),
                             ViewRing(f=2, W=2, H=2))
-        s1 = score_map(stack, Tensor(np.array([1.0, 0.0, 0.0])), mapper).data
-        s2 = score_map(stack, Tensor(np.array([0.0, 1.0, 0.0])), mapper).data
+        s1 = score_map(stack, np.array([1.0, 0.0, 0.0]), mapper).data
+        s2 = score_map(stack, np.array([0.0, 1.0, 0.0]), mapper).data
         assert np.max(np.abs(s1 - s2)) > 0.0
 
     def test_dim_mismatch(self, rng):
@@ -242,7 +242,7 @@ class TestScoreMap:
         stack = LatentStack(Tensor(rng.standard_normal((2, 4, 2, 2))),
                             ViewRing(f=2, W=2, H=2))
         with pytest.raises(ValueError, match="dim"):
-            score_map(stack, Tensor(np.zeros(5)), mapper)
+            score_map(stack, np.zeros(5), mapper)
 
 
 class TestAirAttention:
@@ -339,7 +339,7 @@ class TestOperatorGradients:
         p_dr = AttentionParams.init(tape, "dr", 4, out_scale=1.0)
         p_air = AttentionParams.init(tape, "air", 4, out_scale=1.0)
         mapper = ScoreMapper.init(tape, "sm", 4, 3)
-        text = Tensor(rng.standard_normal(3))
+        text = rng.standard_normal(3)
         x = Tensor(rng.standard_normal((3, 4, 4, 4)) * 0.5, requires_grad=True)
 
         def f():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvring.geometry import (PixelCorrespondence, ViewRing, delta_azimuth,
-                             project_rotated_x, project_rotated_x_simplified,
-                             round_half_away, trajectory_window)
+from mvring.geometry import (ViewRing, delta_azimuth, project_rotated_x,
+                             project_rotated_x_simplified, round_half_away,
+                             trajectory_window)
 
 angles = st.floats(min_value=-179.999, max_value=180, allow_nan=False)
 depths = st.floats(min_value=-20, max_value=20, allow_nan=False)
@@ -50,6 +50,7 @@ class TestProjection:
 
     def test_identity_rotation(self):
         assert project_rotated_x(24.0, 0.0, 0.0, 32) == 24.0
+        assert project_rotated_x(9.0, 0.0, 5.0, 32) == 9.0  # depth drops out
 
     def test_direct_evaluation(self):
         # 8 cos30 + 16 - 2 sin30
@@ -148,14 +149,3 @@ class TestRounding:
     ])
     def test_half_away_from_zero(self, v, want):
         assert round_half_away(v) == want
-
-
-class TestPixelCorrespondence:
-    def test_predict_matches_projection(self):
-        pc = PixelCorrespondence.predict(24, 7, 30.0, 2.0, 32)
-        assert pc.x_pred == pytest.approx(21.92820323027551, abs=1e-12)
-        assert pc.y_pred == 7
-
-    def test_zero_delta_is_identity(self):
-        pc = PixelCorrespondence.predict(9, 3, 0.0, 5.0, 32)
-        assert pc.x_pred == 9.0 and pc.y_pred == 3

@@ -39,18 +39,12 @@ class TestConsistency:
         got = consistency_metric(odd, rset0)
         assert got == pytest.approx(c * np.sqrt(3.0), abs=base + 1e-9)
 
-    def test_forward_backward_symmetry(self, rset0):
-        fwd = consistency_metric(rset0.images, rset0, backward=False)
-        bwd = consistency_metric(rset0.images, rset0, backward=True)
-        assert abs(fwd - bwd) <= 0.005
-
     def test_shape_mismatch(self, rset0):
         with pytest.raises(ValueError):
             consistency_metric(rset0.images[:, :16], rset0)
 
     def test_adjacent_pairs(self):
         assert adjacent_pairs(4) == [(0, 1), (1, 2), (2, 3), (3, 0)]
-        assert adjacent_pairs(3, backward=True) == [(0, 2), (1, 0), (2, 1)]
 
 
 class TestPsnr:
@@ -155,6 +149,17 @@ class TestCliPipeline:
         assert main(["gen-data", "--out", str(out), "--res", res]) == 2
         if int(res) > 0:
             assert "not divisible by the latent factor 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("elevation", ["nan", "inf", "-inf", "up"])
+    def test_gen_data_non_finite_elevation_is_config_error(self, tmp_path,
+                                                            capsys, elevation):
+        out = tmp_path / "ds"
+        assert main(["gen-data", "--out", str(out),
+                     f"--elevation={elevation}"]) == 2
+        captured = capsys.readouterr()
+        assert "--elevation must be a finite number" in captured.err
+        assert "Warning" not in captured.err
         assert not out.exists()
 
     def test_gen_data_res_8_is_valid(self, tmp_path):
@@ -359,11 +364,11 @@ class TestCliPipeline:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("edit", [
-        "unknown_key", "no_config", "bad_value", "zero_blocks", "zero_tau",
-        "bad_heads", "zero_f", "zero_latent_h", "retired_guidance",
-        "retired_params", "zero_text_dim", "fractional_f", "zero_T",
-        "string_enable_aa", "param_names_int", "param_names_mixed",
-        "retired_heads_strides"])
+        "unknown_key", "no_config", "bad_value", "zero_blocks", "zero_d_state",
+        "unknown_scan_strategy", "p_2d_above_one", "zero_lr", "zero_f",
+        "zero_latent_h", "retired_guidance", "retired_params", "zero_text_dim",
+        "fractional_f", "zero_T", "string_enable_aa", "param_names_int",
+        "param_names_mixed", "retired_heads_strides"])
     def test_bad_checkpoint_config_is_io_error(self, tmp_path, capsys, edit):
         """Configs that ModelConfig or the model it builds reject exit 3, as
         do checkpoints of the formats that had text-attention q/k and norm,
@@ -380,10 +385,14 @@ class TestCliPipeline:
             config["channels"] = 0
         elif edit == "zero_blocks":
             config["blocks"] = 0
-        elif edit == "zero_tau":
-            config["tau"] = 0
-        elif edit == "bad_heads":
-            config["n_heads"] = 3
+        elif edit == "zero_d_state":
+            config["d_state"] = 0
+        elif edit == "unknown_scan_strategy":
+            config["scan_strategy"] = "zigzag"
+        elif edit == "p_2d_above_one":
+            config["p_2d"] = 1.5
+        elif edit == "zero_lr":
+            config["lr"] = 0.0
         elif edit == "zero_f":
             config["f"] = 0
         elif edit == "zero_latent_h":
@@ -414,6 +423,10 @@ class TestCliPipeline:
                      str(tmp_path / "s"), "--prompt", "a cube"]) == 3
         err = capsys.readouterr().err
         assert ("param_names" if edit.startswith("param_names") else "config") in err
+        named = {"zero_d_state": "d_state must be", "zero_lr": "lr must be",
+                 "unknown_scan_strategy": "unknown scan strategy",
+                 "p_2d_above_one": "p_2d and p_drop must lie"}
+        assert named.get(edit, "") in err
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("stack", ["aa", "aa+dr+rg+air"])
@@ -498,6 +511,17 @@ class TestCliPipeline:
 
     def test_gradcheck_subsampled_passes(self):
         assert main(["gradcheck", "--max-entries", "2"]) == 0
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--eps", "0"), ("--eps", "-1e-5"), ("--eps", "nan"), ("--eps", "inf"),
+        ("--eps", "-inf"), ("--tol", "nan"), ("--tol", "inf"),
+        ("--tol", "-inf"), ("--tol", "-1e-4")])
+    def test_gradcheck_bad_eps_or_tol_is_config_error(self, capsys, flag,
+                                                      value):
+        assert main(["gradcheck", "--max-entries", "1", f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} must be finite" in captured.err
+        assert "gradcheck:" not in captured.out
 
     @pytest.mark.parametrize("entries", ["0", "-1"])
     def test_gradcheck_max_entries_below_one_is_config_error(self, capsys,

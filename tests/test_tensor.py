@@ -183,8 +183,6 @@ class TestAutodiff:
 
     @pytest.mark.parametrize("op", [
         lambda x: x.exp().sum(),
-        lambda x: (x * x + 1.0).log().sum(),
-        lambda x: (x * x + 0.5).sqrt().sum(),
         lambda x: x.sigmoid().sum(),
         lambda x: x.softplus().sum(),
         lambda x: x.silu().sum(),
@@ -251,7 +249,7 @@ class TestAutodiff:
         x = Tensor(np.array([1.0]), requires_grad=True)
         with np.errstate(invalid="ignore", divide="ignore"), \
                 pytest.raises(ValueError, match="finite"):
-            grad_check(lambda: x.log().log().sum() * np.nan, [x])
+            grad_check(lambda: x.exp().sum() * np.nan, [x])
 
 
 def composed_conv3x3(x, w, b):
@@ -400,7 +398,7 @@ class TestNoGrad:
     def test_records_no_graph(self):
         x = Tensor(np.array([0.5, -2.0]), requires_grad=True)
         with no_grad():
-            y = (x * x).exp().sqrt().sigmoid() + x
+            y = (x * x).exp().softplus().sigmoid() + x
             leaf = Tensor(np.ones(2), requires_grad=True)
         assert not y.requires_grad
         assert y._parents == () and y._backward is None
