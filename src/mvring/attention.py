@@ -26,6 +26,7 @@ from .tensor import (Tensor, avg_pool2d, bilinear_upsample2d, concat, matmul,
 
 __all__ = [
     "AttentionParams",
+    "Mlp2",
     "ScoreMapper",
     "AirConfig",
     "sdpa",
@@ -187,13 +188,30 @@ def trajectory_attention(stack: LatentStack, ring: ViewRing,
 
 
 @dataclass
-class ScoreMapper:
-    """2-layer MLP scoring each position's relevance to the prompt, in (0,1)."""
+class Mlp2:
+    """Linear -> silu -> Linear."""
 
     w1: Tensor
     b1: Tensor
     w2: Tensor
     b2: Tensor
+
+    @classmethod
+    def init(cls, tape, prefix, d_in, d_hidden, d_out):
+        return cls(
+            w1=tape.normal(f"{prefix}.w1", (d_in, d_hidden), 1.0 / np.sqrt(d_in)),
+            b1=tape.zeros(f"{prefix}.b1", (d_hidden,)),
+            w2=tape.normal(f"{prefix}.w2", (d_hidden, d_out), 1.0 / np.sqrt(d_hidden)),
+            b2=tape.zeros(f"{prefix}.b2", (d_out,)),
+        )
+
+    def __call__(self, x):
+        return matmul((matmul(x, self.w1) + self.b1).silu(), self.w2) + self.b2
+
+
+class ScoreMapper(Mlp2):
+    """Mlp2 logit of each position's relevance to the prompt; score_map
+    squashes it into (0, 1)."""
 
     @property
     def in_dim(self):
@@ -201,14 +219,7 @@ class ScoreMapper:
 
     @classmethod
     def init(cls, tape, prefix, channels, text_dim):
-        hidden = max(channels, 8)
-        s = 1.0 / np.sqrt(channels + text_dim)
-        return cls(
-            w1=tape.normal(f"{prefix}.w1", (channels + text_dim, hidden), s),
-            b1=tape.zeros(f"{prefix}.b1", (hidden,)),
-            w2=tape.normal(f"{prefix}.w2", (hidden, 1), 1.0 / np.sqrt(hidden)),
-            b2=tape.zeros(f"{prefix}.b2", (1,)),
-        )
+        return super().init(tape, prefix, channels + text_dim, max(channels, 8), 1)
 
 
 def score_map(stack: LatentStack, text_emb, mapper: ScoreMapper) -> Tensor:
@@ -229,8 +240,7 @@ def score_map(stack: LatentStack, text_emb, mapper: ScoreMapper) -> Tensor:
     per_view = np.broadcast_to(e.astype(stack.data.dtype).reshape(-1, 1, 1, d),
                                (stack.rings, stack.f, hw, d))
     text = Tensor(per_view.reshape(n, hw, d))
-    hid = (matmul(concat([tokens, text], axis=2), mapper.w1) + mapper.b1).silu()
-    s = (matmul(hid, mapper.w2) + mapper.b2).sigmoid()
+    s = mapper(concat([tokens, text], axis=2)).sigmoid()
     return _to_maps(s, h, w)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import json
 import math
 import os
 import sys
@@ -65,12 +64,6 @@ def _write_csv(path, rows):
             fh.write(r + "\n")
 
 
-def _write_manifest(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def parse_stack(text):
     """'aa+dr+rg+air' (or 'none') -> operator enable flags."""
     text = text.strip()
@@ -106,9 +99,9 @@ def _build_config(manifest, args, stack_flags, scan):
     )
 
 
-def _training_batch(rset, manifest):
+def _training_batch(rset, manifest, text_dim):
     scene = dat.make_scene(manifest["seed"])
-    encoder = dn.ToyTextEncoder()
+    encoder = dn.ToyTextEncoder(dim=text_dim)
     prompt = dn.prompt_template(scene.prompt)
     return {
         "z0": dn.encode_images(rset.images),
@@ -153,14 +146,14 @@ def _check_train_args(args):
 def _train_one(rset, manifest, args, stack_flags, scan, seed):
     config = _build_config(manifest, args, stack_flags, scan)
     model = dn.MvDenoiser(config, seed=seed)
-    batch = _training_batch(rset, manifest)
+    batch = _training_batch(rset, manifest, config.text_dim)
     history = dn.train_loop(batch, model, seed=seed, max_steps=args.steps,
                             stop_loss=args.stop_loss, log_every=args.log_every)
     return model, batch, history
 
 
 def _sample_stack(model, batch, steps, guidance, seed):
-    encoder = dn.ToyTextEncoder()
+    encoder = dn.ToyTextEncoder(dim=model.config.text_dim)
     text = encoder.embed_prompt(dn.prompt_template(batch["prompt"]))
     return dn.ddim_sample(model, text, encoder.null, steps=steps,
                           guidance=guidance, seed=seed)
@@ -241,7 +234,7 @@ def cmd_sample(args):
     batch = {"prompt": prompt}
     z = _sample_stack(model, batch, args.steps, args.guidance, args.seed)
     _dump_views(args.out, z)
-    _write_manifest(os.path.join(args.out, "run.json"), {
+    dat.write_manifest(os.path.join(args.out, "run.json"), {
         "command": "sample",
         "checkpoint": os.path.abspath(args.checkpoint),
         "config": manifest["config"],
@@ -333,7 +326,7 @@ def cmd_ablate(args):
             print(f"{run_id}: steps={history[-1][0]} loss={history[-1][2]:.4f} "
                   f"consistency={np.median(cons):.4f}", flush=True)
     _write_csv(os.path.join(args.out, "ablation.csv"), rows)
-    _write_manifest(os.path.join(args.out, "run.json"), {
+    dat.write_manifest(os.path.join(args.out, "run.json"), {
         "command": "ablate",
         "dataset": os.path.abspath(args.dataset),
         "stacks": list(stacks),

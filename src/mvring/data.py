@@ -263,8 +263,13 @@ def save_dataset(rset: RenderedSet, path, seed):
     for i in range(ring.f):
         save_mvt(os.path.join(path, image_files[i]), rset.images[i])
         save_mvt(os.path.join(path, depth_files[i]), rset.depths[i])
-    with open(os.path.join(path, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    write_manifest(os.path.join(path, MANIFEST_NAME), manifest)
+
+
+def write_manifest(path, payload):
+    """JSON with one-space indent and sorted keys, newline-terminated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

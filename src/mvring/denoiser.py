@@ -22,10 +22,10 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .attention import (AirConfig, AttentionParams, ScoreMapper,
+from .attention import (AirConfig, AttentionParams, Mlp2, ScoreMapper,
                         adjacent_attention, air_attention, score_map,
                         trajectory_attention)
-from .data import is_finite_number, is_int
+from .data import is_finite_number, is_int, write_manifest
 from .geometry import LatentStack, ViewRing
 from .scan import SCAN_STRATEGIES, SsmParams, rapid_glance
 from .tensor import (MvtError, Tape, Tensor, bilinear_upsample2d, concat,
@@ -167,28 +167,6 @@ def time_features(t, n_freq=4):
         w = 10000.0 ** (-k / max(n_freq - 1, 1))
         out += [math.sin(t * w), math.cos(t * w)]
     return np.asarray(out)
-
-
-@dataclass
-class Mlp2:
-    """Linear -> silu -> Linear."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    @classmethod
-    def init(cls, tape, prefix, d_in, d_hidden, d_out):
-        return cls(
-            w1=tape.normal(f"{prefix}.w1", (d_in, d_hidden), 1.0 / math.sqrt(d_in)),
-            b1=tape.zeros(f"{prefix}.b1", (d_hidden,)),
-            w2=tape.normal(f"{prefix}.w2", (d_hidden, d_out), 1.0 / math.sqrt(d_hidden)),
-            b2=tape.zeros(f"{prefix}.b2", (d_out,)),
-        )
-
-    def __call__(self, x):
-        return matmul((matmul(x, self.w1) + self.b1).silu(), self.w2) + self.b2
 
 
 # -- config ----------------------------------------------------------------------
@@ -679,9 +657,7 @@ def save_checkpoint(model: MvDenoiser, path, step=0, extra=None):
         "param_names": names,
         "extra": extra or {},
     }
-    with open(os.path.join(path, _CKPT_MANIFEST), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_manifest(os.path.join(path, _CKPT_MANIFEST), manifest)
 
 
 def load_checkpoint(path):

@@ -1,19 +1,21 @@
 """Selective-scan state space operator over spiral-ordered multiview tokens.
 
 Spatial tokens are serialized by an outward spiral from the image centre so
-that object content sits in a short sequence window, views are stacked into
-contiguous blocks, and the whole sequence is scanned in both view orders by
-a diagonal selective SSM. Both orders of every ring in a stack run side by
-side as one recurrence. After the token projections, the scan is a single
-autodiff node, tensor.selective_recurrence, whose state is laid out
-[L, M, N, D] with the channels innermost; its recurrence is one numpy loop
-over the sequence (_kernel.linrec_array).
+that object content sits in a short sequence window. The views of a ring
+are laid out outermost, one contiguous block each, and a diagonal selective
+SSM scans the sequence in both view orders; the descending order is the
+same layout with the view axis reversed by slicing. Both orders of every
+ring in a stack run side by side as one recurrence. After the token
+projections, the scan is a single autodiff node,
+tensor.selective_recurrence, whose state is laid out [L, M, N, D] with the
+channels innermost; its recurrence is one numpy loop over the sequence
+(_kernel.linrec_array). build_scan_order spells out the same token order as
+an explicit permutation, for reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -206,49 +208,36 @@ def selective_scan(x: Tensor, params: SsmParams):
     return y.reshape(x.shape)
 
 
-@lru_cache(maxsize=32)
-def _glance_plan(b, f, H, W, strategy):
-    """Row permutation that lays every scan pass of B rings side by side.
-
-    The source is P copies of the [B*L, C] ring tokens (P = 2 passes, or 1
-    for row-major), copy p feeding pass p. Gathering row gather[s*M + m]
-    for M = P*B puts slot s of sequence m = p*B + r (pass p of ring r) at
-    [s, m] of an [L, M, C] array; gathering the scan output by `scatter`
-    returns every pass to token order.
-    """
-    order = build_scan_order(f, H, W, strategy)
-    orders = (order,) if strategy == "row-major" else (order, order.reversed_views())
-    L = order.perm.size
-    rings = np.arange(b, dtype=np.int64) * L
-    gather = np.stack([p * b * L + rings[:, None] + o.perm[None, :]
-                       for p, o in enumerate(orders)])          # [P, B, L]
-    gather = gather.reshape(-1, L).T.reshape(-1)
-    scatter = np.empty_like(gather)
-    scatter[gather] = np.arange(gather.size)
-    return len(orders), gather, scatter
-
-
 def rapid_glance(stack: LatentStack, params: SsmParams,
                  strategy="spiral-bidirectional"):
     """Bidirectional selective scan over each view ring, plus residual.
 
-    Pass one scans a ring's view blocks in ascending order, pass two in
-    descending order (spatial order within a view is unchanged); the output
-    is the mean of both passes added back onto the input. Both passes of
-    every ring in the stack run as one selective scan over [L, 2B, C].
+    Tokens are gathered into the strategy's spatial order within a view,
+    then laid out views outermost, [f, H*W, B, C]. Pass one scans a ring's
+    views in ascending order; pass two is the same layout with the view
+    axis reversed by slicing, so spatial order within a view is unchanged.
+    Both passes of every ring in the stack run as one selective scan over
+    [L, 2B, C]; the output is the mean of both passes added back onto the
+    input. `row-major` runs pass one only.
     """
     n, C, H, W = stack.data.shape
     if params.d_model != C:
         raise ValueError(f"ssm channel dim {params.d_model} != stack channels {C}")
-    b, L = stack.rings, stack.f * H * W
-    passes, gather, scatter = _glance_plan(b, stack.f, H, W, strategy)
-    tokens = stack.data.transpose((0, 2, 3, 1)).reshape(b * L, C)
-    src = concat([tokens] * passes, axis=0) if passes > 1 else tokens
-    seq = take_rows(src, gather, inverse=scatter).reshape(L, passes * b, C)
-    y = selective_scan(seq, params)
-    back = take_rows(y.reshape(L * passes * b, C), scatter, inverse=gather)
-    if passes > 1:
-        back = back.reshape(passes, b * L, C)
-        back = (back[0] + back[1]) * 0.5
-    maps = back.reshape(n, H, W, C).transpose((0, 3, 1, 2))
+    if strategy not in SCAN_STRATEGIES:
+        raise ValueError(f"unknown scan strategy {strategy!r}; "
+                         f"choose one of {SCAN_STRATEGIES}")
+    b, f, hw = stack.rings, stack.f, H * W
+    order = spiral_order(H, W) if strategy == "spiral-bidirectional" \
+        else row_major_order(H, W)
+    inverse = np.argsort(order)
+    tokens = stack.data.transpose((2, 3, 0, 1)).reshape(hw, b, f, C)
+    t = take_rows(tokens, order, inverse=inverse).transpose((2, 0, 1, 3))  # [f, HW, B, C]
+    if strategy == "row-major":
+        y = selective_scan(t.reshape(f * hw, b, C), params).reshape(f, hw, b, C)
+    else:
+        seq = concat([t, t[::-1]], axis=2).reshape(f * hw, 2 * b, C)
+        y = selective_scan(seq, params).reshape(f, hw, 2, b, C)
+        y = (y[:, :, 0] + y[::-1, :, 1]) * 0.5
+    back = take_rows(y.transpose((1, 2, 0, 3)), inverse, inverse=order)
+    maps = back.reshape(H, W, n, C).transpose((2, 3, 0, 1))
     return stack.with_data(maps + stack.data)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from mvring import scan
 from mvring.data import make_scene, render_views
-from mvring.geometry import ViewRing
+from mvring.geometry import LatentStack, ViewRing
+from mvring.tensor import Tape, Tensor
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +25,37 @@ def rset0(scene0, ring32):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def glance_spy(monkeypatch):
+    """Run rapid_glance with an identity selective scan.
+
+    Returns run(x, f, strategy) -> (output, scan input, expected scan input).
+    x is [B*f, C, H, W]. The expected scan input has column p*B + r equal to
+    ring r's tokens in build_scan_order pass p's order (row-major has one
+    pass; the others add the reversed-view pass).
+    """
+    seen = []
+
+    def identity_scan(x, params):
+        seen.append(x.data)
+        return x
+
+    monkeypatch.setattr(scan, "selective_scan", identity_scan)
+
+    def run(x, f, strategy):
+        n, c, h, w = x.shape
+        seen.clear()
+        params = scan.SsmParams.init(Tape(0), "s", c, 2, out_scale=1.0)
+        out = scan.rapid_glance(LatentStack(Tensor(x), ViewRing(f=f, W=w, H=h)),
+                                params, strategy).data.data
+        order = scan.build_scan_order(f, h, w, strategy)
+        orders = (order,) if strategy == "row-major" \
+            else (order, order.reversed_views())
+        tokens = x.transpose(0, 2, 3, 1).reshape(n // f, f * h * w, c)
+        want = np.stack([ring[o.perm] for o in orders for ring in tokens], axis=1)
+        (got,) = seen
+        return out, got, want
+
+    return run

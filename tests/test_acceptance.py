@@ -16,8 +16,7 @@ from mvring.attention import AirConfig, AttentionParams, adjacent_attention, air
 from mvring.cli import main
 from mvring.data import make_scene, render_views, ground_truth_correspondence
 from mvring.geometry import LatentStack, ViewRing, delta_azimuth, trajectory_window
-from mvring.scan import (SsmParams, _glance_plan, build_scan_order,
-                         row_major_order, selective_scan,
+from mvring.scan import (SsmParams, row_major_order, selective_scan,
                          selective_scan_sequential, spiral_order)
 from mvring.tensor import Tape, Tensor, grad_check
 
@@ -51,7 +50,7 @@ def test_criterion_1_scan_oracle_equivalence():
 # -- 2: spiral bijection + permutation round trips -----------------------------------
 
 
-def test_criterion_2_spiral_bijection_and_roundtrip():
+def test_criterion_2_spiral_bijection_and_roundtrip(glance_spy):
     ok = True
     for h in range(1, 17):
         for w in range(1, 17):
@@ -59,21 +58,11 @@ def test_criterion_2_spiral_bijection_and_roundtrip():
             ok &= sorted(order.tolist()) == list(range(h * w))
     rng = np.random.default_rng(1002)
     for f in (1, 2, 3, 12):
-        order = build_scan_order(f, 4, 4)
-        orders = (order, order.reversed_views())
-        L = f * 16
         for b in (1, 2):
-            passes, gather, scatter = _glance_plan(b, f, 4, 4,
-                                                   "spiral-bidirectional")
-            tokens = rng.standard_normal((b * L, 6))
-            src = np.concatenate([tokens] * passes)
-            seq = src[gather]
-            ok &= passes == 2 and np.array_equal(seq[scatter], src)
-            seq = seq.reshape(L, passes * b, 6)
-            for p, o in enumerate(orders):
-                for r in range(b):
-                    ok &= np.array_equal(seq[:, p * b + r], tokens[r * L + o.perm])
-    report(2, "spiral bijection + glance plan round trip", ok)
+            x = rng.standard_normal((b * f, 6, 4, 4))
+            out, seq, want = glance_spy(x, f, "spiral-bidirectional")
+            ok &= np.array_equal(seq, want) and np.array_equal(out, 2 * x)
+    report(2, "spiral bijection + glance round trip", ok)
 
 
 # -- 3: attention reductions -----------------------------------------------------------

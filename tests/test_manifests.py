@@ -1,13 +1,18 @@
-"""Property fuzzing of the dataset and checkpoint manifest loaders.
+"""Property fuzzing of the dataset and checkpoint manifest loaders and of
+the .mvt tensor file reader.
 
-Each example replaces one manifest field with a value of another JSON type.
-The loader must then raise its typed error, or succeed with every field of
-the type the rest of the program reads it as.
+Each manifest example replaces one manifest field with a value of another
+JSON type. The loader must then raise its typed error, or succeed with every
+field of the type the rest of the program reads it as. Each .mvt example
+rewrites some header fields and the payload length of a valid file; the
+reader must raise MvtError or return what the header describes.
 """
 
 import dataclasses
 import json
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +22,7 @@ from mvring.data import (DatasetError, load_dataset, make_scene, render_views,
 from mvring.denoiser import (CheckpointError, ModelConfig, MvDenoiser,
                              load_checkpoint, save_checkpoint)
 from mvring.geometry import ViewRing
+from mvring.tensor import MvtError, load_mvt, save_mvt
 
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-10 ** 6, 10 ** 6),
@@ -103,3 +109,53 @@ def test_checkpoint_manifest_field_of_another_type(checkpoint_dir, data):
         v = getattr(model.config, fld.name)
         assert {"int": is_int, "bool": lambda x: isinstance(x, bool),
                 "float": is_number, "str": lambda x: isinstance(x, str)}[fld.type](v), fld
+
+
+MVT_FIELDS = ("magic", "dtype", "ndim", "extents", "payload")
+
+
+@pytest.fixture(scope="module")
+def mvt_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mvt") / "t.mvt"
+    save_mvt(path, np.random.default_rng(0).standard_normal((2, 3)))
+    return path
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.data())
+def test_mutated_mvt_is_rejected_or_read_as_its_header_says(mvt_file, data):
+    good = mvt_file.read_bytes()
+    magic, code, ndim = good[:4], good[4], good[5]
+    extents = list(struct.unpack(f"<{ndim}I", good[6:6 + 4 * ndim]))
+    payload = good[6 + 4 * ndim:]
+    mutate = data.draw(st.sets(st.sampled_from(MVT_FIELDS), max_size=2))
+    if "magic" in mutate:
+        magic = data.draw(st.binary(max_size=5))
+    if "dtype" in mutate:
+        code = data.draw(st.integers(0, 255))
+    if "extents" in mutate:
+        # some reshapes of the payload's 6 float64 or 12 float32 values, so
+        # that a mutated header can still describe the payload exactly
+        extents = data.draw(st.one_of(
+            st.sampled_from([[6], [3, 2], [1, 6, 1], [12], [4, 3], [0, 6], []]),
+            st.lists(st.integers(0, 2 ** 32 - 1), max_size=4)))
+        ndim = len(extents)
+    if "ndim" in mutate:
+        ndim = data.draw(st.integers(0, 255))
+    if "payload" in mutate:
+        cut = data.draw(st.integers(0, len(payload) + 16))
+        payload = (payload + bytes(16))[:cut]
+    blob = (magic + bytes([code, ndim])
+            + struct.pack(f"<{len(extents)}I", *extents) + payload)
+    mvt_file.write_bytes(blob)
+    try:
+        arr = load_mvt(mvt_file)
+    except MvtError:
+        return
+    finally:
+        mvt_file.write_bytes(good)
+    assert blob[:4] == b"MVT1"
+    want = struct.unpack(f"<{blob[5]}I", blob[6:6 + 4 * blob[5]])
+    assert arr.shape == want
+    assert arr.dtype == {0: np.float32, 1: np.float64}[blob[4]]
+    assert arr.nbytes == len(blob) - 6 - 4 * blob[5]

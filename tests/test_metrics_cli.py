@@ -271,6 +271,16 @@ class TestCliPipeline:
         run = json.loads((tmp_path / "s" / "run.json").read_text())
         assert run["malloc"] == "libc default"
 
+    def test_sample_embeds_at_the_checkpoint_text_dim(self, tmp_path):
+        from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
+        ck, out = tmp_path / "ck", tmp_path / "s"
+        save_checkpoint(MvDenoiser(ModelConfig(f=2, latent_h=4, latent_w=4,
+                                               channels=8, text_dim=8)), ck)
+        assert main(["sample", "--checkpoint", str(ck), "--prompt", "a cube",
+                     "--steps", "2", "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["latents.mvt", "run.json",
+                                           "view_00.ppm", "view_01.ppm"]
+
     def test_bad_stack_is_config_error(self, dataset_dir, tmp_path):
         assert main(["train", "--dataset", str(dataset_dir),
                      "--out", str(tmp_path / "ck"), "--stack", "bogus"]) == 2
