@@ -117,6 +117,13 @@ def _scan_strategy(text):
     return text
 
 
+def _seed(text):
+    """argparse type of --seed: an integer >= 0, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"want an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _parse_entries(flag, text, parse):
     """Comma-separated `text` -> {entry: parse(entry)} in order. An empty
     entry, one that `parse` rejects, or one that parses to an earlier
@@ -155,8 +162,12 @@ def _train_one(rset, manifest, args, stack_flags, scan, seed):
 def _sample_stack(model, batch, steps, guidance, seed):
     encoder = dn.ToyTextEncoder(dim=model.config.text_dim)
     text = encoder.embed_prompt(dn.prompt_template(batch["prompt"]))
-    return dn.ddim_sample(model, text, encoder.null, steps=steps,
-                          guidance=guidance, seed=seed)
+    z = dn.ddim_sample(model, text, encoder.null, steps=steps,
+                       guidance=guidance, seed=seed)
+    if not np.isfinite(z).all():
+        raise CliError(f"the sample at seed {seed} holds non-finite latents "
+                       f"(guidance {guidance})", EXIT_INVARIANT)
+    return z
 
 
 def _dump_views(out_dir, z):
@@ -272,6 +283,9 @@ def cmd_eval(args):
     if z.ndim != 4 or z.shape[1] != dn.LATENT_CHANNELS:
         raise CliError(f"latents.mvt in {args.samples} holds shape {z.shape}, "
                        f"expected [f, {dn.LATENT_CHANNELS}, h, w]", EXIT_IO)
+    if not np.isfinite(z).all():
+        raise CliError(f"latents.mvt in {args.samples} holds non-finite values",
+                       EXIT_IO)
     images = dn.decode_latents(z)
     if images.shape != rset.images.shape:
         raise CliError(f"samples decode to {images.shape}, dataset is "
@@ -357,7 +371,7 @@ def _add_train_args(p):
     p.add_argument("--channels", type=int, default=16)
     p.add_argument("--blocks", type=int, default=1)
     p.add_argument("--lr", type=float, default=2e-3)
-    p.add_argument("--seed", type=int, default=0, help="training seed")
+    p.add_argument("--seed", type=_seed, default=0, help="training seed")
 
 
 def build_parser():
@@ -369,7 +383,7 @@ def build_parser():
 
     p = sub.add_parser("gen-data", help="render a seeded multiview dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--views", type=int, default=12)
     p.add_argument("--res", type=int, default=32)
     p.add_argument("--elevation", default="0",
@@ -390,7 +404,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--guidance", type=float, default=7.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--prompt", default=None)
     p.set_defaults(fn=cmd_sample)
 
@@ -398,7 +412,7 @@ def build_parser():
                        help="finite-difference check of the miniature model")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-entries", type=int, default=None,
                    help="cap checked coordinates per parameter")
     p.set_defaults(fn=cmd_gradcheck)

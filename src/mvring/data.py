@@ -53,8 +53,10 @@ BACKGROUND = (0.20, 0.20, 0.20)
 # world-unit width of the orthographic window; [-0.5, 0.5]^3 fits at any angle
 ORTHO_SPAN = 2.0
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 MANIFEST_NAME = "manifest.json"
+IMAGES_NAME = "images.mvt"
+DEPTHS_NAME = "depths.mvt"
 
 
 class DatasetError(Exception):
@@ -243,27 +245,20 @@ def ground_truth_correspondence(rset: RenderedSet, i, j,
 
 
 def save_dataset(rset: RenderedSet, path, seed):
-    """Write manifest.json + view_%02d.mvt / depth_%02d.mvt into `path`."""
+    """Write manifest.json, images.mvt [f, H, W, 3] and depths.mvt [f, H, W]."""
     os.makedirs(path, exist_ok=True)
     ring = rset.ring
-    image_files = [f"view_{i:02d}.mvt" for i in range(ring.f)]
-    depth_files = [f"depth_{i:02d}.mvt" for i in range(ring.f)]
-    manifest = {
+    save_mvt(os.path.join(path, IMAGES_NAME), rset.images)
+    save_mvt(os.path.join(path, DEPTHS_NAME), rset.depths)
+    write_manifest(os.path.join(path, MANIFEST_NAME), {
         "version": MANIFEST_VERSION,
         "f": ring.f,
         "W": ring.W,
         "H": ring.H,
         "elevation_deg": ring.elevation_deg,
         "distance": ring.distance,
-        "azimuths_deg": ring.azimuths_deg.tolist(),
-        "image_files": image_files,
-        "depth_files": depth_files,
         "seed": int(seed),
-    }
-    for i in range(ring.f):
-        save_mvt(os.path.join(path, image_files[i]), rset.images[i])
-        save_mvt(os.path.join(path, depth_files[i]), rset.depths[i])
-    write_manifest(os.path.join(path, MANIFEST_NAME), manifest)
+    })
 
 
 def write_manifest(path, payload):
@@ -271,6 +266,31 @@ def write_manifest(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def read_manifest(path, error):
+    """The JSON object in `path`. A missing file, text that is not JSON or
+    JSON that is not an object raises `error`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError as exc:
+        raise error(f"missing manifest {path}") from exc
+    except ValueError as exc:   # JSONDecodeError, or bytes that are not UTF-8
+        raise error(f"unparsable manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise error(f"manifest {path} is not a JSON object")
+    return manifest
+
+
+def read_mvt(path, error):
+    """load_mvt, raising `error` for a missing or malformed file."""
+    try:
+        return load_mvt(path)
+    except FileNotFoundError as exc:
+        raise error(f"missing tensor file {path}") from exc
+    except MvtError as exc:
+        raise error(str(exc)) from exc
 
 
 def is_int(v):
@@ -291,73 +311,36 @@ def _check_fields(manifest):
         wrong.append("seed")
     wrong += [k for k in ("elevation_deg", "distance")
               if not is_finite_number(manifest[k])]
-    wrong += [k for k in ("image_files", "depth_files")
-              if not (isinstance(manifest[k], list)
-                      and all(isinstance(n, str) for n in manifest[k]))]
-    az = manifest.get("azimuths_deg", [])
-    if not (isinstance(az, list) and all(is_finite_number(a) for a in az)):
-        wrong.append("azimuths_deg")
     if wrong:
         raise ManifestError(
             "manifest fields of the wrong type: " + ", ".join(wrong) + " (want "
-            "integers f, W and H, a seed >= 0, finite numbers elevation_deg, distance "
-            "and azimuths_deg, and lists of file names)")
+            "integers f, W and H, a seed >= 0 and finite numbers elevation_deg "
+            "and distance)")
 
 
 def load_dataset(path):
     """Read a dataset directory back; returns (RenderedSet, manifest dict)."""
-    mpath = os.path.join(path, MANIFEST_NAME)
-    try:
-        with open(mpath, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ManifestError(f"missing manifest {mpath}") from exc
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"unparsable manifest {mpath}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ManifestError(f"manifest {mpath} is not a JSON object")
+    manifest = read_manifest(os.path.join(path, MANIFEST_NAME), ManifestError)
     version = manifest.get("version")
     if not is_int(version) or version != MANIFEST_VERSION:
         raise ManifestError(f"manifest version {version!r} "
                             f"unsupported (want {MANIFEST_VERSION})")
-    for key in ("f", "W", "H", "elevation_deg", "distance",
-                "image_files", "depth_files", "seed"):
+    for key in ("f", "W", "H", "elevation_deg", "distance", "seed"):
         if key not in manifest:
             raise ManifestError(f"manifest missing field {key!r}")
     _check_fields(manifest)
     f, W, H = manifest["f"], manifest["W"], manifest["H"]
-    if len(manifest["image_files"]) != f or len(manifest["depth_files"]) != f:
-        raise ShapeMismatchError(
-            f"manifest lists {len(manifest['image_files'])} images / "
-            f"{len(manifest['depth_files'])} depths for f={f}")
     try:
         ring = ViewRing(f=f, elevation_deg=manifest["elevation_deg"],
                         distance=manifest["distance"], W=W, H=H)
     except ValueError as exc:
         raise ManifestError(f"manifest does not describe a ring: {exc}") from exc
-    expect = ring.azimuths_deg
-    got = np.asarray(manifest.get("azimuths_deg", []), dtype=np.float64)
-    if got.shape != expect.shape or not np.allclose(got, expect):
-        raise ManifestError("manifest azimuths are not the uniform ring")
-    images, depths = [], []
-    for i in range(f):
-        ipath = os.path.join(path, manifest["image_files"][i])
-        dpath = os.path.join(path, manifest["depth_files"][i])
-        try:
-            img = load_mvt(ipath)
-            dep = load_mvt(dpath)
-        except FileNotFoundError as exc:
-            raise DatasetError(f"missing tensor file {exc.filename}") from exc
-        except MvtError as exc:
-            raise DatasetError(str(exc)) from exc
-        if img.shape != (H, W, 3):
+    arrays = []
+    for name, shape in ((IMAGES_NAME, (f, H, W, 3)), (DEPTHS_NAME, (f, H, W))):
+        apath = os.path.join(path, name)
+        arr = read_mvt(apath, DatasetError)
+        if arr.shape != shape:
             raise ShapeMismatchError(
-                f"{ipath}: shape {img.shape}, manifest says {(H, W, 3)}")
-        if dep.shape != (H, W):
-            raise ShapeMismatchError(
-                f"{dpath}: shape {dep.shape}, manifest says {(H, W)}")
-        images.append(img)
-        depths.append(dep)
-    images = np.asarray(images, dtype=np.float64)
-    depths = np.asarray(depths, dtype=np.float64)
-    return RenderedSet(images=images, depths=depths, ring=ring), manifest
+                f"{apath}: shape {arr.shape}, manifest says {shape}")
+        arrays.append(np.asarray(arr, dtype=np.float64))
+    return RenderedSet(images=arrays[0], depths=arrays[1], ring=ring), manifest

@@ -14,7 +14,6 @@ one call, one ring under two prompts, without recording an autodiff graph.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import re
@@ -25,11 +24,12 @@ import numpy as np
 from .attention import (AirConfig, AttentionParams, Mlp2, ScoreMapper,
                         adjacent_attention, air_attention, score_map,
                         trajectory_attention)
-from .data import is_finite_number, is_int, write_manifest
+from .data import (is_finite_number, is_int, read_manifest, read_mvt,
+                   write_manifest)
 from .geometry import LatentStack, ViewRing
 from .scan import SCAN_STRATEGIES, SsmParams, rapid_glance
-from .tensor import (MvtError, Tape, Tensor, bilinear_upsample2d, concat,
-                     conv3x3, layer_norm, load_mvt, matmul, no_grad, save_mvt)
+from .tensor import (Tape, Tensor, bilinear_upsample2d, concat, conv3x3,
+                     layer_norm, matmul, no_grad, save_mvt)
 
 __all__ = [
     "NoiseSchedule",
@@ -641,36 +641,29 @@ def gradcheck_loss(seed=0):
 
 
 _CKPT_MANIFEST = "checkpoint.json"
+_CKPT_PARAMS = "params.mvt"
 
 
 def save_checkpoint(model: MvDenoiser, path, step=0, extra=None):
+    """Write checkpoint.json and params.mvt, one vector holding every
+    parameter raveled and concatenated in param_names order."""
     os.makedirs(path, exist_ok=True)
-    pdir = os.path.join(path, "params")
-    os.makedirs(pdir, exist_ok=True)
-    names = []
-    for name, tensor in model.named_params().items():
-        save_mvt(os.path.join(pdir, f"{name}.mvt"), tensor.data)
-        names.append(name)
-    manifest = {
+    params = model.named_params()
+    save_mvt(os.path.join(path, _CKPT_PARAMS),
+             np.concatenate([p.data.ravel() for p in params.values()]))
+    write_manifest(os.path.join(path, _CKPT_MANIFEST), {
         "config": asdict(model.config),
         "step": int(step),
-        "param_names": names,
+        "param_names": list(params),
         "extra": extra or {},
-    }
-    write_manifest(os.path.join(path, _CKPT_MANIFEST), manifest)
+    })
 
 
 def load_checkpoint(path):
     """Rebuild the model from a checkpoint; any shape mismatch fails loudly."""
     mpath = os.path.join(path, _CKPT_MANIFEST)
-    try:
-        with open(mpath, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError as exc:
-        raise CheckpointError(f"missing checkpoint manifest {mpath}") from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"unparsable checkpoint manifest: {exc}") from exc
-    saved = manifest.get("config") if isinstance(manifest, dict) else None
+    manifest = read_manifest(mpath, CheckpointError)
+    saved = manifest.get("config")
     if not isinstance(saved, dict):
         raise CheckpointError(f"checkpoint manifest {mpath} has no config object")
     try:
@@ -678,23 +671,15 @@ def load_checkpoint(path):
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint config does not build the model: {exc}") from exc
     params = model.named_params()
-    listed = manifest.get("param_names", [])
-    if not (isinstance(listed, list) and all(isinstance(n, str) for n in listed)):
-        raise CheckpointError(f"checkpoint param_names is not a list of names: "
-                              f"{listed!r}")
-    if sorted(listed) != sorted(params):
-        raise CheckpointError("checkpoint parameter list does not match the "
-                              "architecture built from its config")
-    for name, tensor in params.items():
-        fpath = os.path.join(path, "params", f"{name}.mvt")
-        try:
-            arr = load_mvt(fpath)
-        except FileNotFoundError as exc:
-            raise CheckpointError(f"missing parameter file {fpath}") from exc
-        except MvtError as exc:
-            raise CheckpointError(str(exc)) from exc
-        if arr.shape != tensor.data.shape:
-            raise CheckpointError(
-                f"{name}: checkpoint shape {arr.shape} != model {tensor.data.shape}")
-        tensor.data = arr
+    if manifest.get("param_names") != list(params):
+        raise CheckpointError("checkpoint param_names do not list the parameters "
+                              "of the architecture built from its config, in order")
+    ppath = os.path.join(path, _CKPT_PARAMS)
+    flat = read_mvt(ppath, CheckpointError)
+    sizes = [p.data.size for p in params.values()]
+    if flat.shape != (sum(sizes),):
+        raise CheckpointError(f"{ppath}: shape {flat.shape}, the model has "
+                              f"{sum(sizes)} parameter values")
+    for p, chunk in zip(params.values(), np.split(flat, np.cumsum(sizes)[:-1])):
+        p.data = chunk.reshape(p.data.shape)
     return model, manifest

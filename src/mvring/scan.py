@@ -70,6 +70,15 @@ def row_major_order(H, W):
     return np.arange(H * W, dtype=np.int64)
 
 
+def _strategy_order(strategy, H, W):
+    """Token order within one H x W view under a scan strategy."""
+    if strategy not in SCAN_STRATEGIES:
+        raise ValueError(f"unknown scan strategy {strategy!r}; "
+                         f"choose one of {SCAN_STRATEGIES}")
+    return spiral_order(H, W) if strategy == "spiral-bidirectional" \
+        else row_major_order(H, W)
+
+
 @dataclass(frozen=True)
 class ScanOrder:
     """Bijection between (view, row, col) token positions and sequence slots.
@@ -89,11 +98,7 @@ class ScanOrder:
 
 
 def build_scan_order(f, H, W, strategy="spiral-bidirectional"):
-    if strategy not in SCAN_STRATEGIES:
-        raise ValueError(f"unknown scan strategy {strategy!r}; "
-                         f"choose one of {SCAN_STRATEGIES}")
-    spatial = spiral_order(H, W) if strategy == "spiral-bidirectional" \
-        else row_major_order(H, W)
+    spatial = _strategy_order(strategy, H, W)
     hw = H * W
     perm = (np.arange(f, dtype=np.int64)[:, None] * hw + spatial[None, :]).reshape(-1)
     return ScanOrder(f=f, tokens_per_view=hw, perm=perm)
@@ -223,12 +228,8 @@ def rapid_glance(stack: LatentStack, params: SsmParams,
     n, C, H, W = stack.data.shape
     if params.d_model != C:
         raise ValueError(f"ssm channel dim {params.d_model} != stack channels {C}")
-    if strategy not in SCAN_STRATEGIES:
-        raise ValueError(f"unknown scan strategy {strategy!r}; "
-                         f"choose one of {SCAN_STRATEGIES}")
+    order = _strategy_order(strategy, H, W)
     b, f, hw = stack.rings, stack.f, H * W
-    order = spiral_order(H, W) if strategy == "spiral-bidirectional" \
-        else row_major_order(H, W)
     inverse = np.argsort(order)
     tokens = stack.data.transpose((2, 3, 0, 1)).reshape(hw, b, f, C)
     t = take_rows(tokens, order, inverse=inverse).transpose((2, 0, 1, 3))  # [f, HW, B, C]

@@ -179,9 +179,8 @@ class TestDatasetIO:
 
     def test_layout_files(self, rset0, tmp_path):
         save_dataset(rset0, tmp_path, seed=0)
-        names = sorted(os.listdir(tmp_path))
-        assert "manifest.json" in names
-        assert "view_00.mvt" in names and "depth_11.mvt" in names
+        assert sorted(os.listdir(tmp_path)) == ["depths.mvt", "images.mvt",
+                                                "manifest.json"]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ManifestError, match="missing manifest"):
@@ -209,31 +208,30 @@ class TestDatasetIO:
 
     def test_truncated_tensor_names_file(self, rset0, tmp_path):
         save_dataset(rset0, tmp_path, seed=0)
-        victim = tmp_path / "view_03.mvt"
-        victim.write_bytes(victim.read_bytes()[:-16])
-        with pytest.raises(DatasetError, match="view_03.mvt") as exc:
-            load_dataset(tmp_path)
-        assert "corrupt payload" in str(exc.value)
+        for name in ("images.mvt", "depths.mvt"):
+            victim = tmp_path / name
+            good = victim.read_bytes()
+            victim.write_bytes(good[:-16])
+            with pytest.raises(DatasetError, match=name) as exc:
+                load_dataset(tmp_path)
+            assert "corrupt payload" in str(exc.value)
+            victim.write_bytes(good)
 
     def test_missing_tensor_file(self, rset0, tmp_path):
         save_dataset(rset0, tmp_path, seed=0)
-        os.remove(tmp_path / "depth_05.mvt")
-        with pytest.raises(DatasetError, match="depth_05"):
-            load_dataset(tmp_path)
+        for name in ("images.mvt", "depths.mvt"):
+            victim = tmp_path / name
+            good = victim.read_bytes()
+            os.remove(victim)
+            with pytest.raises(DatasetError, match=f"missing tensor file .*{name}"):
+                load_dataset(tmp_path)
+            victim.write_bytes(good)
 
     def test_wrong_shape_tensor(self, rset0, tmp_path):
         from mvring.tensor import save_mvt
-        save_dataset(rset0, tmp_path, seed=0)
-        save_mvt(tmp_path / "view_00.mvt", np.zeros((4, 4, 3)))
-        with pytest.raises(ShapeMismatchError, match="view_00"):
-            load_dataset(tmp_path)
-
-    def test_nonuniform_azimuths_rejected(self, rset0, tmp_path):
-        save_dataset(rset0, tmp_path, seed=0)
-        with open(tmp_path / "manifest.json") as fh:
-            m = json.load(fh)
-        m["azimuths_deg"][3] += 5.0
-        with open(tmp_path / "manifest.json", "w") as fh:
-            json.dump(m, fh)
-        with pytest.raises(ManifestError, match="azimuth"):
-            load_dataset(tmp_path)
+        for name, shape in (("images.mvt", (12, 4, 4, 3)), ("images.mvt", (12, 32, 32)),
+                            ("depths.mvt", (12, 32, 32, 3)), ("depths.mvt", (11, 32, 32))):
+            save_dataset(rset0, tmp_path, seed=0)
+            save_mvt(tmp_path / name, np.zeros(shape))
+            with pytest.raises(ShapeMismatchError, match=name):
+                load_dataset(tmp_path)

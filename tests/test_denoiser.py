@@ -1,6 +1,8 @@
 """Noise schedule, conditioning, the denoiser stack, training and DDIM."""
 
 import gc
+import json
+import os
 
 import numpy as np
 import pytest
@@ -564,6 +566,7 @@ class TestCheckpoint:
         model = MvDenoiser(mini_config(), seed=14)
         _overfit_briefly(model, text8, steps=5)
         save_checkpoint(model, tmp_path, step=5, extra={"prompt": "x"})
+        assert sorted(os.listdir(tmp_path)) == ["checkpoint.json", "params.mvt"]
         back, manifest = load_checkpoint(tmp_path)
         assert manifest["step"] == 5
         for name, p in model.named_params().items():
@@ -577,16 +580,35 @@ class TestCheckpoint:
         from mvring.tensor import save_mvt
         model = MvDenoiser(mini_config(), seed=15)
         save_checkpoint(model, tmp_path, step=0)
-        save_mvt(tmp_path / "params" / "stem.w.mvt", np.zeros((2, 2)))
-        with pytest.raises(CheckpointError, match="stem.w"):
-            load_checkpoint(tmp_path)
+        n = sum(p.data.size for p in model.params())
+        for shape in ((2, 2), (n - 1,), (n + 1,), (1, n)):
+            save_mvt(tmp_path / "params.mvt", np.zeros(shape))
+            with pytest.raises(CheckpointError, match="params.mvt"):
+                load_checkpoint(tmp_path)
 
     def test_missing_param_file_fails(self, tmp_path):
-        import os
         model = MvDenoiser(mini_config(), seed=16)
         save_checkpoint(model, tmp_path, step=0)
-        os.remove(tmp_path / "params" / "head.b.mvt")
-        with pytest.raises(CheckpointError, match="head.b"):
+        os.remove(tmp_path / "params.mvt")
+        with pytest.raises(CheckpointError, match="missing tensor file .*params.mvt"):
+            load_checkpoint(tmp_path)
+
+    def test_truncated_param_file_fails(self, tmp_path):
+        model = MvDenoiser(mini_config(), seed=16)
+        save_checkpoint(model, tmp_path, step=0)
+        victim = tmp_path / "params.mvt"
+        victim.write_bytes(victim.read_bytes()[:-8])
+        with pytest.raises(CheckpointError, match="params.mvt.*corrupt payload"):
+            load_checkpoint(tmp_path)
+
+    def test_param_names_out_of_order_fails(self, tmp_path):
+        model = MvDenoiser(mini_config(), seed=16)
+        save_checkpoint(model, tmp_path, step=0)
+        mpath = tmp_path / "checkpoint.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["param_names"].reverse()
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="in order"):
             load_checkpoint(tmp_path)
 
 

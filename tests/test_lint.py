@@ -1,8 +1,11 @@
-"""Source hygiene of the package modules: no unused imports, no dead privates.
+"""Source hygiene of the package modules: no unused imports, no dead privates,
+no exported name that only tests read.
 
 `__init__.py` is left out: it only re-exports. A module-level `_name` counts
 as used when any module of the package reads it, by name, as an attribute or
-through an import.
+through an import. A name in a module's `__all__` counts as reached when
+program code reads it outside its own definition: a package module or one
+of perfbench's scripts.
 """
 
 import ast
@@ -13,6 +16,13 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mvring"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+PERFBENCH_TREES = [ast.parse(p.read_text(encoding="utf-8"))
+                   for p in sorted((SRC.parents[1] / "perfbench").glob("*.py"))
+                   if not p.name.startswith("test_")]
+
+# exported references that only tests read, to check runtime code against
+TEST_ONLY = {"data.point_depth_px", "geometry.project_rotated_x",
+             "metrics.read_ppm", "tensor.linear_recurrence"}
 
 
 def exported(tree):
@@ -77,3 +87,25 @@ def test_private_names_are_referenced(name):
     dead = [n for n in module_names(TREES[name])
             if n.startswith("_") and not n.startswith("__") and n not in used]
     assert not dead, f"{name} defines private names nothing reads: {dead}"
+
+
+def read_by_program(module, name):
+    """Whether a package module or perfbench reads `name`, leaving out
+    `module`'s own top-level definition of it."""
+    own = [n for n in TREES[module].body if getattr(n, "name", None) != name]
+    trees = [t for m, t in TREES.items() if m != module] + PERFBENCH_TREES + own
+    return any(name in references(t) for t in trees)
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_exported_names_are_read_by_the_program(name):
+    unread = [n for n in sorted(exported(TREES[name]))
+              if f"{name[:-3]}.{n}" not in TEST_ONLY and not read_by_program(name, n)]
+    assert not unread, f"{name} exports names only tests read: {unread}"
+
+
+def test_test_only_names_are_exported_and_unread():
+    for entry in sorted(TEST_ONLY):
+        stem, n = entry.split(".")
+        assert n in exported(TREES[f"{stem}.py"]), entry
+        assert not read_by_program(f"{stem}.py", n), f"{entry} is read by the program"

@@ -13,7 +13,7 @@ from mvring.cli import CSV_HEADER, main, parse_stack, pin_malloc_thresholds
 from mvring.data import ground_truth_correspondence
 from mvring.metrics import (adjacent_pairs, consistency_metric, psnr,
                             read_ppm, write_ppm)
-from mvring.tensor import save_mvt
+from mvring.tensor import load_mvt, save_mvt
 
 
 class TestConsistency:
@@ -139,9 +139,9 @@ def dataset_dir(tmp_path_factory):
 
 class TestCliPipeline:
     def test_gen_data_writes_twelve_views(self, dataset_dir):
-        names = os.listdir(dataset_dir)
-        assert sum(n.startswith("view_") for n in names) == 12
-        assert "manifest.json" in names
+        assert sorted(os.listdir(dataset_dir)) == ["depths.mvt", "images.mvt",
+                                                   "manifest.json"]
+        assert load_mvt(str(dataset_dir / "images.mvt")).shape == (12, 32, 32, 3)
 
     @pytest.mark.parametrize("res", ["30", "6", "0", "-4"])
     def test_gen_data_res_not_a_latent_multiple(self, tmp_path, capsys, res):
@@ -178,6 +178,8 @@ class TestCliPipeline:
         assert main(["train", "--dataset", str(dataset_dir), "--out", str(ck),
                      "--steps", "60", "--stop-loss", "0", "--log-every", "30",
                      "--stack", "aa+rg", "--channels", "8"]) == 0
+        assert sorted(os.listdir(ck)) == ["checkpoint.json", "params.mvt",
+                                          "train_log.csv"]
         log = (ck / "train_log.csv").read_text().splitlines()
         assert log[0] == CSV_HEADER
         assert len(log) == 3  # two logged rows
@@ -211,9 +213,8 @@ class TestCliPipeline:
                      "--out", str(tmp_path / "ck")]) == 3
 
     @pytest.mark.parametrize("edit", [
-        "json_list", "json_string", "image_files_int", "image_files_ints",
-        "string_W", "float_f", "string_elevation", "string_seed", "zero_f",
-        "zero_W", "negative_H", "string_azimuths"])
+        "json_list", "json_string", "string_W", "float_f", "string_elevation",
+        "string_seed", "zero_f", "zero_W", "negative_H"])
     def test_malformed_dataset_manifest_is_io_error(self, dataset_dir, tmp_path,
                                                     capsys, edit):
         ds = tmp_path / "ds"
@@ -223,10 +224,6 @@ class TestCliPipeline:
             m = [m]
         elif edit == "json_string":
             m = "manifest"
-        elif edit == "image_files_int":
-            m["image_files"] = 5
-        elif edit == "image_files_ints":
-            m["image_files"] = list(range(12))
         elif edit == "string_W":
             m["W"] = "32"
         elif edit == "float_f":
@@ -236,13 +233,11 @@ class TestCliPipeline:
         elif edit == "string_seed":
             m["seed"] = "zz"
         elif edit == "zero_f":
-            m.update(f=0, image_files=[], depth_files=[], azimuths_deg=[])
+            m["f"] = 0
         elif edit == "zero_W":
             m["W"] = 0
-        elif edit == "negative_H":
-            m["H"] = -8
         else:
-            m["azimuths_deg"] = "abc"
+            m["H"] = -8
         (ds / "manifest.json").write_text(json.dumps(m))
         assert main(["train", "--dataset", str(ds), "--out", str(tmp_path / "ck"),
                      "--steps", "1", "--stack", "aa"]) == 3
@@ -480,6 +475,96 @@ class TestCliPipeline:
         message = "not a string" if isinstance(extra, dict) else "no extra object"
         assert message in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    def test_version_1_dataset_is_io_error(self, dataset_dir, tmp_path, capsys):
+        """The retired layout: one .mvt per view, listed in the manifest."""
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        m = json.loads((dataset_dir / "manifest.json").read_text())
+        m.update(version=1, azimuths_deg=[30.0 * i for i in range(12)],
+                 image_files=[f"view_{i:02d}.mvt" for i in range(12)],
+                 depth_files=[f"depth_{i:02d}.mvt" for i in range(12)])
+        (ds / "manifest.json").write_text(json.dumps(m))
+        for key, name in (("image_files", "images.mvt"), ("depth_files", "depths.mvt")):
+            for fname, view in zip(m[key], load_mvt(str(dataset_dir / name))):
+                save_mvt(str(ds / fname), view)
+        assert main(["train", "--dataset", str(ds), "--out", str(tmp_path / "ck"),
+                     "--steps", "1"]) == 3
+        assert "manifest version 1 unsupported (want 2)" in capsys.readouterr().err
+        assert not (tmp_path / "ck").exists()
+
+    @pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe{}"],
+                             ids=["not_json", "not_utf8"])
+    @pytest.mark.parametrize("cmd", ["train", "sample"])
+    def test_unparsable_manifest_is_io_error(self, tmp_path, capsys, cmd, text):
+        (tmp_path / "manifest.json").write_bytes(text)
+        (tmp_path / "checkpoint.json").write_bytes(text)
+        src = ["--dataset", str(tmp_path)] if cmd == "train" \
+            else ["--checkpoint", str(tmp_path)]
+        assert main([cmd, *src, "--out", str(tmp_path / "o")]) == 3
+        assert "unparsable manifest" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_per_parameter_checkpoint_is_io_error(self, tmp_path, capsys):
+        """The retired layout: one .mvt per parameter under params/."""
+        from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
+        ck = tmp_path / "ck"
+        model = MvDenoiser(ModelConfig(f=2, latent_h=4, latent_w=4, channels=8))
+        save_checkpoint(model, ck, extra={"prompt": "a cube"})
+        (ck / "params").mkdir()
+        for name, p in model.named_params().items():
+            save_mvt(str(ck / "params" / f"{name}.mvt"), p.data)
+        os.remove(ck / "params.mvt")
+        assert main(["sample", "--checkpoint", str(ck), "--out",
+                     str(tmp_path / "s"), "--steps", "2"]) == 3
+        assert "missing tensor file" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("cmd", ["sample", "ablate"])
+    def test_non_finite_sample_is_invariant_error(self, tmp_path, capsys, cmd):
+        ds, ck, out = tmp_path / "ds", tmp_path / "ck", tmp_path / "out"
+        assert main(["gen-data", "--out", str(ds), "--views", "3",
+                     "--res", "16"]) == 0
+        train = ["--dataset", str(ds), "--steps", "5", "--channels", "4",
+                 "--log-every", "5"]
+        if cmd == "sample":
+            assert main(["train", "--out", str(ck)] + train) == 0
+            argv = ["sample", "--checkpoint", str(ck), "--steps", "2"]
+        else:
+            argv = ["ablate", "--stacks", "aa+dr+rg+air", "--sample-steps", "2",
+                    "--sample-seeds", "0"] + train
+        assert main(argv + ["--guidance", "1e308", "--out", str(out)]) == 4
+        assert "non-finite latents" in capsys.readouterr().err
+        assert not [f for _, _, files in os.walk(tmp_path / "out") for f in files]
+
+    def test_non_finite_latents_eval_is_io_error(self, dataset_dir, tmp_path,
+                                                 capsys):
+        sm = tmp_path / "s"
+        sm.mkdir()
+        z = np.zeros((12, 3, 8, 8))
+        z[3, 1, 2, 5] = np.nan
+        save_mvt(str(sm / "latents.mvt"), z)
+        assert main(["eval", "--dataset", str(dataset_dir),
+                     "--samples", str(sm)]) == 3
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err and "consistency" not in captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--out", "o"],
+        ["train", "--dataset", "d", "--out", "o"],
+        ["sample", "--checkpoint", "c", "--out", "o"],
+        ["ablate", "--dataset", "d", "--out", "o"],
+        ["gradcheck"]], ids=lambda argv: argv[0])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                          argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed=-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: want an integer >= 0" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         assert main(["sample", "--checkpoint", str(tmp_path / "nope"),
