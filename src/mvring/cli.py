@@ -77,14 +77,7 @@ def parse_stack(text):
     return {f"enable_{t}": (t in tokens) for t in STACK_TOKENS}
 
 
-def _check_image_dims(w, h):
-    if w % dn.LATENT_FACTOR or h % dn.LATENT_FACTOR:
-        raise CliError(f"image dims {w}x{h} are not divisible by the latent "
-                       f"factor {dn.LATENT_FACTOR}", EXIT_CONFIG)
-
-
 def _build_config(manifest, args, stack_flags, scan):
-    _check_image_dims(manifest["W"], manifest["H"])
     return dn.ModelConfig(
         f=manifest["f"],
         latent_h=manifest["H"] // dn.LATENT_FACTOR,
@@ -142,18 +135,10 @@ def _parse_entries(flag, text, parse):
     return out
 
 
-def _check_train_args(args):
-    if args.steps < 1:
-        raise CliError(f"--steps must be >= 1, got {args.steps}", EXIT_CONFIG)
-    if args.log_every < 1:
-        raise CliError(f"--log-every must be >= 1, got {args.log_every}",
-                       EXIT_CONFIG)
-
-
 def _train_one(rset, manifest, args, stack_flags, scan, seed):
     config = _build_config(manifest, args, stack_flags, scan)
-    model = dn.MvDenoiser(config, seed=seed)
     batch = _training_batch(rset, manifest, config.text_dim)
+    model = dn.MvDenoiser(config, seed=seed)
     history = dn.train_loop(batch, model, seed=seed, max_steps=args.steps,
                             stop_loss=args.stop_loss, log_every=args.log_every)
     return model, batch, history
@@ -170,13 +155,11 @@ def _sample_stack(model, batch, steps, guidance, seed):
     return z
 
 
-def _dump_views(out_dir, z):
+def _dump_views(out_dir, z, images):
     os.makedirs(out_dir, exist_ok=True)
-    images = dn.decode_latents(z)
     for i in range(images.shape[0]):
         met.write_ppm(os.path.join(out_dir, f"view_{i:02d}.ppm"), images[i])
     save_mvt(os.path.join(out_dir, "latents.mvt"), z)
-    return images
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -185,7 +168,9 @@ def _dump_views(out_dir, z):
 def cmd_gen_data(args):
     if args.views < 2:
         raise CliError(f"need at least 2 views, got {args.views}", EXIT_CONFIG)
-    _check_image_dims(args.res, args.res)
+    if args.res % dn.LATENT_FACTOR:
+        raise CliError(f"image dims {args.res}x{args.res} are not divisible by "
+                       f"the latent factor {dn.LATENT_FACTOR}", EXIT_CONFIG)
     if args.elevation == "random":
         elev = float(np.random.default_rng(args.seed).uniform(-30.0, 30.0))
     else:
@@ -207,7 +192,6 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    _check_train_args(args)
     rset, manifest = dat.load_dataset(args.dataset)
     stack_flags = parse_stack(args.stack)
     model, batch, history = _train_one(rset, manifest, args, stack_flags,
@@ -244,7 +228,7 @@ def cmd_sample(args):
         raise CliError("checkpoint carries no prompt; pass --prompt", EXIT_CONFIG)
     batch = {"prompt": prompt}
     z = _sample_stack(model, batch, args.steps, args.guidance, args.seed)
-    _dump_views(args.out, z)
+    _dump_views(args.out, z, dn.decode_latents(z))
     dat.write_manifest(os.path.join(args.out, "run.json"), {
         "command": "sample",
         "checkpoint": os.path.abspath(args.checkpoint),
@@ -300,7 +284,6 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
-    _check_train_args(args)
     # reject bad sampling flags before training, not after
     dn.check_guidance(args.guidance)
     dn.ddim_timesteps(dn.ModelConfig.T, args.sample_steps)
@@ -311,9 +294,8 @@ def cmd_ablate(args):
     if min(sample_seeds) < 0:
         raise CliError("--sample-seeds must be integers >= 0", EXIT_CONFIG)
     rset, manifest = dat.load_dataset(args.dataset)
-    os.makedirs(args.out, exist_ok=True)
     gt_decoded = dn.decode_latents(dn.encode_images(rset.images))
-    rows = []
+    rows, views = [], []
     for flags in stacks.values():
         trained = None
         for scan in scans:
@@ -321,24 +303,29 @@ def cmd_ablate(args):
             if trained is None or flags["enable_rg"]:
                 model, batch, history = _train_one(rset, manifest, args, flags,
                                                    scan, args.seed)
-                trained = history, {s: _sample_stack(model, batch, args.sample_steps,
-                                                     args.guidance, s)
-                                    for s in sample_seeds}
-            history, latents = trained
+                samples = {}
+                for s in sample_seeds:
+                    z = _sample_stack(model, batch, args.sample_steps,
+                                      args.guidance, s)
+                    samples[s] = z, dn.decode_latents(z)
+                trained = history, samples
+            history, samples = trained
             stack = model.config.stack
             run_id = f"{stack}__{scan}__s{args.seed}"
-            cons, psnrs = [], []
-            for s in sample_seeds:
-                images = _dump_views(os.path.join(args.out, run_id, f"seed{s}"),
-                                     latents[s])
-                cons.append(met.consistency_metric(images, rset))
-                psnrs.append(met.psnr(images, gt_decoded))
+            cons = [met.consistency_metric(im, rset) for _, im in samples.values()]
+            psnrs = [met.psnr(im, gt_decoded) for _, im in samples.values()]
+            views += [(os.path.join(args.out, run_id, f"seed{s}"), z, im)
+                      for s, (z, im) in samples.items()]
             rows.append(_csv_row(run_id, stack, scan, args.seed,
                                  step=history[-1][0], train_loss=history[-1][2],
                                  consistency=float(np.median(cons)),
                                  psnr_vs_gt=float(np.median(psnrs))))
             print(f"{run_id}: steps={history[-1][0]} loss={history[-1][2]:.4f} "
                   f"consistency={np.median(cons):.4f}", flush=True)
+    # write nothing until every stack has trained and every sample is finite
+    os.makedirs(args.out, exist_ok=True)
+    for out_dir, z, images in views:
+        _dump_views(out_dir, z, images)
     _write_csv(os.path.join(args.out, "ablation.csv"), rows)
     dat.write_manifest(os.path.join(args.out, "run.json"), {
         "command": "ablate",

@@ -528,6 +528,8 @@ def train_loop(batch, model, seed=0, max_steps=20000, stop_loss=None,
     if max_steps < 1 or log_every < 1:
         raise ValueError(f"max_steps and log_every must be >= 1, got "
                          f"{max_steps} and {log_every}")
+    if stop_loss is not None and math.isnan(stop_loss):
+        raise ValueError("stop_loss must be a number or None, got nan")
     rng = np.random.default_rng(seed)
     opt = Adam(model.params(), lr=model.config.lr)
     sched = model.sched
@@ -540,15 +542,12 @@ def train_loop(batch, model, seed=0, max_steps=20000, stop_loss=None,
         if len(window) > 50:
             window.pop(0)
         ma = float(np.mean(window))
-        if step % log_every == 0 or step == max_steps:
+        stop = stop_loss is not None and len(window) == 50 and ma < stop_loss
+        if stop or step % log_every == 0 or step == max_steps:
             history.append((step, loss, ma))
             if on_log is not None:
                 on_log(step, loss, ma)
-        if stop_loss is not None and len(window) == 50 and ma < stop_loss:
-            if not history or history[-1][0] != step:
-                history.append((step, loss, ma))
-                if on_log is not None:
-                    on_log(step, loss, ma)
+        if stop:
             break
     return history
 

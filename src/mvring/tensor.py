@@ -88,32 +88,23 @@ def _unbroadcast(grad, shape):
 
 
 def _acc(node, g):
-    """Accumulate a gradient contribution, borrowing the first array."""
-    if node.grad is None:
-        node.grad = g
-        node._grad_borrowed = True
-    elif node._grad_borrowed:
-        node.grad = node.grad + g
-        node._grad_borrowed = False
-    else:
-        node.grad += g
-
-
-def _owned_grad(node):
-    """Gradient buffer that is safe to scatter into in place."""
-    if node.grad is None:
-        node.grad = np.zeros_like(node.data)
-    elif node._grad_borrowed:
-        node.grad = node.grad.copy()
-    node._grad_borrowed = False
-    return node.grad
+    """Accumulate a gradient contribution out of place. `g` may be a view of
+    another node's gradient, so no gradient array is ever written to."""
+    node.grad = g if node.grad is None else node.grad + g
 
 
 class Tensor:
-    """A dense N-d array node in a dynamic autodiff graph."""
+    """A dense N-d array node in a dynamic autodiff graph.
 
-    __slots__ = ("data", "grad", "requires_grad", "_grad_borrowed",
-                 "_parents", "_backward")
+    An op builds its output as `Tensor(y, _parents=..., _backward=backward)`,
+    where `backward(g)` passes the output's gradient `g` to each parent that
+    requires grad through `_acc`. Closures capture arrays and parent nodes,
+    never their own output node: that would make every graph a reference
+    cycle. The constructor keeps `_parents` and `_backward` only when the
+    output requires grad.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, dtype=np.float64,
                  _parents=(), _backward=None):
@@ -124,7 +115,6 @@ class Tensor:
         else:
             self.data = np.asarray(data, dtype=dtype)
         self.grad = None
-        self._grad_borrowed = False
         self.requires_grad = requires_grad or (
             _grad_enabled and any(p.requires_grad for p in _parents))
         self._parents = _parents if self.requires_grad else ()
@@ -186,7 +176,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-        self._grad_borrowed = False
 
     def grad_array(self):
         """Gradient as an array, zeros if this leaf was never reached."""
@@ -201,7 +190,6 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.data + other.data, _parents=(self, other))
 
         def backward(g):
             if self.requires_grad:
@@ -209,14 +197,13 @@ class Tensor:
             if other.requires_grad:
                 _acc(other, _unbroadcast(g, other.data.shape))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(self.data + other.data, _parents=(self, other),
+                      _backward=backward)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.data * other.data, _parents=(self, other))
 
         def backward(g):
             if self.requires_grad:
@@ -224,8 +211,8 @@ class Tensor:
             if other.requires_grad:
                 _acc(other, _unbroadcast(g * self.data, other.data.shape))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(self.data * other.data, _parents=(self, other),
+                      _backward=backward)
 
     __rmul__ = __mul__
 
@@ -240,7 +227,6 @@ class Tensor:
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.data / other.data, _parents=(self, other))
 
         def backward(g):
             if self.requires_grad:
@@ -249,36 +235,29 @@ class Tensor:
                 _acc(other, _unbroadcast(-g * self.data / (other.data * other.data),
                                          other.data.shape))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(self.data / other.data, _parents=(self, other),
+                      _backward=backward)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
     # -- elementwise nonlinearities -------------------------------------------
 
-    # backward closures capture output arrays, never `out` itself: a closure
-    # holding its own node would make every graph a reference cycle
-
     def exp(self):
         y = np.exp(self.data)
-        out = Tensor(y, _parents=(self,))
 
         def backward(g):
             _acc(self, g * y)
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(y, _parents=(self,), _backward=backward)
 
     def sigmoid(self):
         y = _sigmoid(self.data)
-        out = Tensor(y, _parents=(self,))
 
         def backward(g):
             _acc(self, g * (y * (1.0 - y)))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(y, _parents=(self,), _backward=backward)
 
     def softplus(self):
         # max(x, 0) + log1p(exp(-|x|)): np.logaddexp(0, x) is ~8x slower
@@ -288,37 +267,31 @@ class Tensor:
         np.exp(y, out=y)
         np.log1p(y, out=y)
         y += np.maximum(x.reshape(-1), 0)
-        out = Tensor(y.reshape(x.shape), _parents=(self,))
 
         def backward(g):
             _acc(self, g * _sigmoid(x))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(y.reshape(x.shape), _parents=(self,), _backward=backward)
 
     def silu(self):
         x = self.data
         sig = _sigmoid(x)
-        out = Tensor(x * sig, _parents=(self,))
 
         def backward(g):
             _acc(self, g * (sig * (1.0 + x * (1.0 - sig))))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(x * sig, _parents=(self,), _backward=backward)
 
     # -- reductions ------------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,))
-
         def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             _acc(self, np.broadcast_to(g, self.data.shape).copy())
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims),
+                      _parents=(self,), _backward=backward)
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else np.prod(
@@ -331,24 +304,20 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         src_shape = self.data.shape
-        out = Tensor(self.data.reshape(shape), _parents=(self,))
 
         def backward(g):
             _acc(self, g.reshape(src_shape))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(self.data.reshape(shape), _parents=(self,), _backward=backward)
 
     def transpose(self, axes):
         axes = tuple(axes)
         inv = tuple(np.argsort(axes))
-        out = Tensor(self.data.transpose(axes), _parents=(self,))
 
         def backward(g):
             _acc(self, g.transpose(inv))
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(self.data.transpose(axes), _parents=(self,), _backward=backward)
 
     def swap_last2(self):
         axes = list(range(self.ndim))
@@ -357,13 +326,12 @@ class Tensor:
 
     def __getitem__(self, idx):
         """Basic slicing only; fancy gathers go through take_rows."""
-        out = Tensor(self.data[idx], _parents=(self,))
-
         def backward(g):
-            _owned_grad(self)[idx] += g
+            gx = np.zeros_like(self.data)
+            gx[idx] = g
+            _acc(self, gx)
 
-        out._backward = backward if out.requires_grad else None
-        return out
+        return Tensor(self.data[idx], _parents=(self,), _backward=backward)
 
 
 # -- construction helpers ------------------------------------------------------
@@ -371,10 +339,7 @@ class Tensor:
 
 def concat(tensors, axis=0):
     tensors = list(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 _parents=tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
@@ -383,8 +348,8 @@ def concat(tensors, axis=0):
                 sl[axis] = slice(lo, hi)
                 _acc(t, g[tuple(sl)])
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+                  _parents=tuple(tensors), _backward=backward)
 
 
 def matmul(a, b):
@@ -394,7 +359,6 @@ def matmul(a, b):
             f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
     if a.ndim > 2 and b.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]:
         raise ValueError("matmul batch dims must match unless one side is 2-D")
-    out = Tensor(np.matmul(a.data, b.data), _parents=(a, b))
 
     def backward(g):
         if a.requires_grad:
@@ -413,8 +377,7 @@ def matmul(a, b):
                     gb = gb.sum(axis=tuple(range(gb.ndim - b.ndim)))
             _acc(b, gb)
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(np.matmul(a.data, b.data), _parents=(a, b), _backward=backward)
 
 
 def softmax(x, axis=-1, scale=1.0, bias=None):
@@ -428,7 +391,6 @@ def softmax(x, axis=-1, scale=1.0, bias=None):
     y -= y.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
-    out = Tensor(y, _parents=(x,))
 
     def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -436,8 +398,7 @@ def softmax(x, axis=-1, scale=1.0, bias=None):
         gx *= scale
         _acc(x, gx)
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(y, _parents=(x,), _backward=backward)
 
 
 def layer_norm(x, gain, bias, axis=-1, eps=1e-5):
@@ -447,7 +408,6 @@ def layer_norm(x, gain, bias, axis=-1, eps=1e-5):
     var = (xc * xc).mean(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data, _parents=(x, gain, bias))
 
     def backward(g):
         if gain.requires_grad:
@@ -460,8 +420,8 @@ def layer_norm(x, gain, bias, axis=-1, eps=1e-5):
             m2 = (gx * xhat).mean(axis=axis, keepdims=True)
             _acc(x, inv * (gx - m1 - xhat * m2))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(xhat * gain.data + bias.data, _parents=(x, gain, bias),
+                  _backward=backward)
 
 
 def avg_pool2d(x, stride):
@@ -474,18 +434,14 @@ def avg_pool2d(x, stride):
         raise ValueError(f"pool stride {stride} does not divide dims {h}x{w}")
     if stride == 1:
         return x + 0.0
-    lead = x.data.shape[:-2]
-    hh, ww = h // stride, w // stride
-    blk = x.data.reshape(lead + (hh, stride, ww, stride))
-    out = Tensor(blk.mean(axis=(-3, -1)), _parents=(x,))
+    blocks = x.data.shape[:-2] + (h // stride, stride, w // stride, stride)
 
     def backward(g):
         gg = g[..., :, None, :, None] * (1.0 / (stride * stride))
-        _acc(x, np.broadcast_to(gg, lead + (hh, stride, ww, stride)).reshape(
-            x.data.shape).copy())
+        _acc(x, np.broadcast_to(gg, blocks).reshape(x.data.shape).copy())
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(x.data.reshape(blocks).mean(axis=(-3, -1)), _parents=(x,),
+                  _backward=backward)
 
 
 def _upsample_matrix(n, s, dtype):
@@ -516,13 +472,11 @@ def bilinear_upsample2d(x, factor):
     uh = _upsample_matrix(h, factor, x.data.dtype)
     uw = _upsample_matrix(w, factor, x.data.dtype)
     y = np.matmul(uh, np.matmul(x.data, uw.T))
-    out = Tensor(y, _parents=(x,))
 
     def backward(g):
         _acc(x, np.matmul(uh.T, np.matmul(g, uw)))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(y, _parents=(x,), _backward=backward)
 
 
 def _im2col3x3(a):
@@ -555,7 +509,6 @@ def conv3x3(x, w, b):
     cols = _im2col3x3(x.data)
     y = np.matmul(w.data, cols).reshape(n, cout, h, wd)
     y += b.data.reshape(1, cout, 1, 1)
-    out = Tensor(y, _parents=(x, w, b))
 
     def backward(g):
         if w.requires_grad:
@@ -568,8 +521,7 @@ def conv3x3(x, w, b):
             gx = np.matmul(wt.reshape(cin, 9 * cout), _im2col3x3(g))
             _acc(x, gx.reshape(n, cin, h, wd))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(y, _parents=(x, w, b), _backward=backward)
 
 
 def take_rows(x, idx, inverse):
@@ -578,13 +530,10 @@ def take_rows(x, idx, inverse):
     Output shape is idx.shape + x.shape[1:]. `inverse` is the inverse
     permutation (`np.argsort(idx)`); the backward pass gathers with it.
     """
-    out = Tensor(np.take(x.data, idx, axis=0), _parents=(x,))
-
     def backward(g):
         _acc(x, np.take(g, inverse, axis=0))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(np.take(x.data, idx, axis=0), _parents=(x,), _backward=backward)
 
 
 def _reverse_recurrence(a, g):
@@ -599,7 +548,6 @@ def linear_recurrence(a, u):
     if a.data.shape != u.data.shape:
         raise ValueError(f"recurrence shapes differ: {a.data.shape} vs {u.data.shape}")
     h = _kernel.linrec_array(a.data, u.data)
-    out = Tensor(h, _parents=(a, u))
 
     def backward(g):
         gh = _reverse_recurrence(a.data, g)
@@ -609,8 +557,7 @@ def linear_recurrence(a, u):
             h_prev = np.concatenate([np.zeros_like(h[:1]), h[:-1]], axis=0)
             _acc(a, gh * h_prev)
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(h, _parents=(a, u), _backward=backward)
 
 
 def selective_recurrence(delta, dx, b, c, a):
@@ -633,7 +580,6 @@ def selective_recurrence(delta, dx, b, c, a):
     u = dx.data.reshape(L, M, 1, D) * b.data.reshape(L, M, N, 1)
     h = _kernel.linrec_array(abar, u)
     y = np.einsum("lmnd,lmn->lmd", h, c.data)
-    out = Tensor(y, _parents=(delta, dx, b, c, a))
 
     def backward(g):
         if c.requires_grad:
@@ -652,8 +598,7 @@ def selective_recurrence(delta, dx, b, c, a):
             if a.requires_grad:
                 _acc(a, np.einsum("lmnd,lmd->dn", gz, delta.data))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(y, _parents=(delta, dx, b, c, a), _backward=backward)
 
 
 # -- parameter tape ---------------------------------------------------------------

@@ -452,6 +452,20 @@ class TestTrainingStep:
         assert all(np.array_equal(a, p.data)
                    for a, p in zip(before, model.params()))
 
+    @pytest.mark.parametrize("log_every,logged", [
+        (25, [25, 50]), (7, [7, 14, 21, 28, 35, 42, 49, 50])])
+    def test_early_stop_step_is_logged_once(self, text8, log_every, logged):
+        model = MvDenoiser(mini_config(), seed=9)
+        z0 = np.random.default_rng(3).standard_normal((2, 3, 4, 4)) * 0.3
+        batch = {"z0": z0, "text": text8, "null": np.zeros_like(text8)}
+        calls = []
+        # the 50-step average is far below 1e9 as soon as the window fills
+        hist = train_loop(batch, model, seed=0, max_steps=200, stop_loss=1e9,
+                          log_every=log_every,
+                          on_log=lambda *row: calls.append(row))
+        assert [row[0] for row in hist] == logged
+        assert calls == hist
+
     def test_loss_decreases_on_tiny_overfit(self, text8):
         model = MvDenoiser(mini_config(), seed=9)
         rng = np.random.default_rng(3)

@@ -8,6 +8,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvring.cli import CSV_HEADER, main, parse_stack, pin_malloc_thresholds
 from mvring.data import ground_truth_correspondence
@@ -285,7 +287,7 @@ class TestCliPipeline:
                                                  capsys, steps):
         assert main(["train", "--dataset", str(dataset_dir),
                      "--out", str(tmp_path / "ck"), "--steps", steps]) == 2
-        assert "--steps must be >= 1" in capsys.readouterr().err
+        assert "max_steps and log_every must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "ck").exists()
 
     @pytest.mark.parametrize("cmd", ["train", "ablate"])
@@ -293,7 +295,7 @@ class TestCliPipeline:
                                                  capsys, cmd):
         assert main([cmd, "--dataset", str(dataset_dir),
                      "--out", str(tmp_path / "o"), "--log-every", "0"]) == 2
-        assert "--log-every must be >= 1" in capsys.readouterr().err
+        assert "max_steps and log_every must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("cmd", ["train", "ablate"])
@@ -313,6 +315,14 @@ class TestCliPipeline:
                      "--steps", "3", flag, value]) == 2
         assert f"{flag[2:]} must be" in capsys.readouterr().err
         assert not (tmp_path / "ck").exists()
+
+    @pytest.mark.parametrize("cmd", ["train", "ablate"])
+    def test_nan_stop_loss_is_config_error(self, dataset_dir, tmp_path, capsys,
+                                           cmd):
+        assert main([cmd, "--dataset", str(dataset_dir), "--out",
+                     str(tmp_path / "o"), "--stop-loss", "nan"]) == 2
+        assert "stop_loss must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_diverged_training_is_invariant_error(self, dataset_dir, tmp_path,
                                                   capsys):
@@ -537,7 +547,41 @@ class TestCliPipeline:
                     "--sample-seeds", "0"] + train
         assert main(argv + ["--guidance", "1e308", "--out", str(out)]) == 4
         assert "non-finite latents" in capsys.readouterr().err
-        assert not [f for _, _, files in os.walk(tmp_path / "out") for f in files]
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_ablate_writes_nothing_when_a_late_sample_is_non_finite(
+            self, dataset_dir, tmp_path, capsys, monkeypatch):
+        import mvring.denoiser as dn
+        real, calls = dn.ddim_sample, []
+
+        def second_stack_nan(model, *a, **kw):
+            calls.append(model.config.stack)
+            z = real(model, *a, **kw)
+            return z * np.nan if len(calls) == 2 else z
+
+        monkeypatch.setattr(dn, "ddim_sample", second_stack_nan)
+        out = tmp_path / "abl"
+        assert main(["ablate", "--dataset", str(dataset_dir), "--out", str(out),
+                     "--stacks", "none,aa", "--steps", "2", "--log-every", "2",
+                     "--channels", "4", "--sample-steps", "2",
+                     "--sample-seeds", "0"]) == 4
+        assert calls == ["none", "aa"]
+        assert "non-finite latents" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["train", "ablate"])
+    def test_dataset_dims_not_a_latent_multiple_is_config_error(
+            self, tmp_path, capsys, cmd):
+        from mvring.data import make_scene, render_views, save_dataset
+        from mvring.geometry import ViewRing
+        ds, out = tmp_path / "ds", tmp_path / "o"
+        save_dataset(render_views(make_scene(0), ViewRing(f=2, W=18, H=16)),
+                     str(ds), seed=0)
+        assert main([cmd, "--dataset", str(ds), "--out", str(out),
+                     "--steps", "2", "--channels", "4"]) == 2
+        assert "image dims 16x18 not divisible by 4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_latents_eval_is_io_error(self, dataset_dir, tmp_path,
                                                  capsys):
@@ -672,3 +716,53 @@ class TestCliPipeline:
         assert len(names) == 2 * 12
         assert all((spiral / n).read_bytes() == (row / n).read_bytes()
                    for n in names)
+
+
+# Every numeric flag of every command. Each example sets one of them to a
+# malformed or small valid value, on top of a tiny baseline run.
+NUMERIC_FLAGS = {
+    "gen-data": ["--views", "--res", "--seed", "--elevation"],
+    "train": ["--steps", "--log-every", "--channels", "--blocks", "--seed",
+              "--stop-loss", "--lr"],
+    "sample": ["--steps", "--seed", "--guidance"],
+    "ablate": ["--steps", "--log-every", "--channels", "--blocks", "--seed",
+               "--stop-loss", "--lr", "--sample-steps", "--guidance"],
+    "gradcheck": ["--max-entries", "--seed", "--tol", "--eps"],
+}
+FLAG_VALUES = ["nan", "inf", "-1", "0", "1e308", "", "1.5", "0.5", "1e-3",
+               "1", "2", "3", "4", "8"]
+
+
+@pytest.fixture(scope="module")
+def tiny_runs(tmp_path_factory):
+    """Baseline argv per command: 3 views at 16 px, 2 steps, 2 channels."""
+    root = tmp_path_factory.mktemp("fuzz")
+    ds, ck = str(root / "ds"), str(root / "ck")
+    train = ["--steps", "2", "--channels", "2"]
+    assert main(["gen-data", "--out", ds, "--views", "3", "--res", "16"]) == 0
+    assert main(["train", "--dataset", ds, "--out", ck] + train) == 0
+    return root, {
+        "gen-data": ["gen-data", "--views", "3", "--res", "16"],
+        "train": ["train", "--dataset", ds] + train,
+        "sample": ["sample", "--checkpoint", ck, "--steps", "2"],
+        "ablate": ["ablate", "--dataset", ds, "--stacks", "aa+dr+rg+air",
+                   "--sample-steps", "2", "--sample-seeds", "0"] + train,
+        "gradcheck": ["gradcheck", "--max-entries", "1"],
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([(cmd, flag) for cmd, flags in NUMERIC_FLAGS.items()
+                        for flag in flags]),
+       st.sampled_from(FLAG_VALUES))
+def test_numeric_flag_gives_a_documented_exit_code(tiny_runs, case, value):
+    (cmd, flag), (root, baseline) = case, tiny_runs
+    out = os.path.join(root, f"out{len(os.listdir(root))}")
+    argv = baseline[cmd] + ([] if cmd == "gradcheck" else ["--out", out])
+    try:
+        with np.errstate(all="ignore"):
+            code = main(argv + [f"{flag}={value}"])
+    except SystemExit as exc:       # argparse rejects the value's form
+        code = exc.code
+    assert code in (0, 2, 3, 4), (cmd, flag, value, code)
+    assert code == 0 or not os.path.exists(out), (cmd, flag, value, code)

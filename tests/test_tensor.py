@@ -228,6 +228,23 @@ class TestAutodiff:
         rep = grad_check(f, [a, u])
         assert rep.passed
 
+    @pytest.mark.parametrize("shared_first", [True, False],
+                             ids=["shared_first", "own_first"])
+    def test_leaves_sharing_an_upstream_gradient(self, rng, shared_first):
+        # a + b hands both leaves the same gradient array; a's second
+        # contribution must not write into the array that b also holds
+        a = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+
+        def f():
+            shared, own = ((a + b) * w).sum(), (a * a).sum()
+            return shared + own if shared_first else own + shared
+
+        rep = grad_check(f, [a, b, w])
+        assert rep.passed, rep
+        assert np.array_equal(b.grad, w.data)
+
     def test_backward_replay_bit_identical(self, rng):
         w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         x = Tensor(rng.standard_normal((2, 4)))
