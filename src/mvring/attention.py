@@ -84,8 +84,6 @@ def sdpa(q, k, v, bias=None):
     if k.shape[-1] != d or v.shape[-1] != d or k.shape[:-1] != v.shape[:-1]:
         raise ValueError(f"sdpa shape mismatch: q{q.shape} k{k.shape} v{v.shape}")
     logits = matmul(q, k.swap_last2())
-    if bias is not None:
-        bias = np.asarray(bias, dtype=logits.dtype)
     return matmul(softmax(logits, axis=-1, scale=1.0 / np.sqrt(d), bias=bias), v)
 
 
@@ -178,7 +176,7 @@ def trajectory_attention(stack: LatentStack, ring: ViewRing,
                          f"stack {n}x{h}x{w}")
     tokens = stack.data.transpose((0, 2, 3, 1))                  # [n, H, W, C]
     rows = _ring_window(tokens.reshape(n // f, f, h, w, c), axis=3)  # [B, f, H, 3W, C]
-    edge = Tensor(np.zeros(rows.shape[:2] + (1,) + rows.shape[3:], rows.dtype))
+    edge = Tensor(np.zeros(rows.shape[:2] + (1,) + rows.shape[3:]))
     padded = concat([edge, rows, edge], axis=2)
     band = concat([padded[:, :, :h], rows, padded[:, :, 2:]], axis=3) \
         .reshape(n, h, 9 * w, c)                                  # [n, H, 9W, C]
@@ -237,7 +235,7 @@ def score_map(stack: LatentStack, text_emb, mapper: ScoreMapper) -> Tensor:
     hw = h * w
     d = e.shape[-1]
     tokens = _to_tokens(stack.data)
-    per_view = np.broadcast_to(e.astype(stack.data.dtype).reshape(-1, 1, 1, d),
+    per_view = np.broadcast_to(e.reshape(-1, 1, 1, d),
                                (stack.rings, stack.f, hw, d))
     text = Tensor(per_view.reshape(n, hw, d))
     s = mapper(concat([tokens, text], axis=2)).sigmoid()

@@ -21,7 +21,7 @@ from . import data as dat
 from . import denoiser as dn
 from . import metrics as met
 from .geometry import ViewRing
-from .tensor import MvtError, grad_check, load_mvt, save_mvt
+from .tensor import MvtError, grad_check, save_mvt
 from .scan import SCAN_STRATEGIES
 
 CSV_HEADER = "run_id,stack,scan_strategy,seed,step,train_loss,consistency,psnr_vs_gt"
@@ -263,7 +263,7 @@ def cmd_gradcheck(args):
 
 def cmd_eval(args):
     rset, _ = dat.load_dataset(args.dataset)
-    z = load_mvt(os.path.join(args.samples, "latents.mvt"))
+    z = dat.read_mvt(os.path.join(args.samples, "latents.mvt"), MvtError)
     if z.ndim != 4 or z.shape[1] != dn.LATENT_CHANNELS:
         raise CliError(f"latents.mvt in {args.samples} holds shape {z.shape}, "
                        f"expected [f, {dn.LATENT_CHANNELS}, h, w]", EXIT_IO)

@@ -284,9 +284,10 @@ def read_manifest(path, error):
 
 
 def read_mvt(path, error):
-    """load_mvt, raising `error` for a missing or malformed file."""
+    """load_mvt as float64, whatever the file's dtype code, raising `error`
+    for a missing or malformed file."""
     try:
-        return load_mvt(path)
+        return load_mvt(path).astype(np.float64, copy=False)
     except FileNotFoundError as exc:
         raise error(f"missing tensor file {path}") from exc
     except MvtError as exc:
@@ -342,5 +343,5 @@ def load_dataset(path):
         if arr.shape != shape:
             raise ShapeMismatchError(
                 f"{apath}: shape {arr.shape}, manifest says {shape}")
-        arrays.append(np.asarray(arr, dtype=np.float64))
+        arrays.append(arr)
     return RenderedSet(images=arrays[0], depths=arrays[1], ring=ring), manifest

@@ -324,7 +324,7 @@ def cross_attention(x, text_emb, norm, params):
     one key the softmax weight is exactly 1, so this is x + (e_r @ w_v) @ w_o
     for ring r. `norm`, `params.w_q` and `params.w_k` are never read.
     """
-    e = np.asarray(text_emb, dtype=x.dtype)
+    e = np.asarray(text_emb)
     e = Tensor(e.reshape(-1, e.shape[-1]))                    # [B, text_dim]
     shift = matmul(matmul(e, params.w_v), params.w_o)         # [B, C]
     b, c = shift.shape

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .tensor import Tensor
 
 __all__ = [
@@ -41,10 +39,6 @@ class ViewRing:
             raise ValueError(f"view count must be >= 1, got {self.f}")
         if self.W < 1 or self.H < 1:
             raise ValueError("image extents must be >= 1")
-
-    @property
-    def azimuths_deg(self):
-        return np.arange(self.f) * (360.0 / self.f)
 
     def azimuth_deg(self, i):
         if not 0 <= i < self.f:

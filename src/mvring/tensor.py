@@ -1,15 +1,15 @@
 """Minimal dense-tensor substrate with reverse-mode autodiff.
 
-Tensors wrap numpy arrays (float64 by default, float32 supported) and record
-a dynamic graph over a closed primitive set: matmul, elementwise arithmetic,
-exp/sigmoid/softplus/silu, softmax, layer norm, reductions,
+Every Tensor holds a float64 numpy array, whatever it was built from, and
+records a dynamic graph over a closed primitive set: matmul, addition and
+multiplication, exp/sigmoid/softplus/silu, softmax, layer norm, sums,
 reshape/transpose/concat, basic slicing, row gather, 3x3 convolution,
-average pooling, bilinear upsampling, a first-order linear recurrence,
-and the selective-SSM recurrence beneath the scan as one node with a
-hand-written backward. `backward` replays the graph in a fixed
-topological order, so repeated backward passes are bit-identical. Inside
-`no_grad()` no graph is recorded: results hold no parents and no backward
-closure.
+bilinear upsampling, a first-order linear recurrence, and the selective-SSM
+recurrence beneath the scan as one node with a hand-written backward. Means
+and average pooling are composed from these. `backward()` needs a scalar
+output and replays the graph in a fixed topological order, so repeated
+backward passes are bit-identical. Inside `no_grad()` no graph is recorded:
+results hold no parents and no backward closure.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "load_mvt",
 ]
 
-_FLOAT_DTYPES = (np.float32, np.float64)
 _grad_enabled = True
 
 
@@ -106,14 +105,10 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=np.float64,
-                 _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         if isinstance(data, Tensor):
             raise TypeError("wrap raw array data, not another Tensor")
-        if isinstance(data, (np.ndarray, np.generic)) and data.dtype in _FLOAT_DTYPES:
-            self.data = np.asarray(data)  # full reductions yield numpy scalars
-        else:
-            self.data = np.asarray(data, dtype=dtype)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad or (
             _grad_enabled and any(p.requires_grad for p in _parents))
@@ -130,16 +125,8 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
+        return f"Tensor(shape={self.data.shape})"
 
     # -- graph machinery -----------------------------------------------------
 
@@ -160,16 +147,14 @@ class Tensor:
                     stack.append((p, False))
         return order
 
-    def backward(self, seed=None):
-        """Accumulate gradients of this (scalar) tensor into the graph."""
+    def backward(self):
+        """Accumulate gradients of this scalar tensor into the graph."""
         if not self.requires_grad:
             raise RuntimeError("backward on a tensor that requires no grad")
-        if seed is None:
-            if self.data.size != 1:
-                raise RuntimeError("backward without seed needs a scalar output")
-            seed = np.ones_like(self.data)
+        if self.data.size != 1:
+            raise RuntimeError("backward needs a scalar output")
         order = self._toposort()
-        _acc(self, np.asarray(seed, dtype=self.data.dtype))
+        _acc(self, np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
@@ -186,7 +171,7 @@ class Tensor:
     def _coerce(self, other):
         if isinstance(other, Tensor):
             return other
-        return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return Tensor(other)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -221,25 +206,6 @@ class Tensor:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-
-        def backward(g):
-            if self.requires_grad:
-                _acc(self, _unbroadcast(g / other.data, self.data.shape))
-            if other.requires_grad:
-                _acc(other, _unbroadcast(-g * self.data / (other.data * other.data),
-                                         other.data.shape))
-
-        return Tensor(self.data / other.data, _parents=(self, other),
-                      _backward=backward)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     # -- elementwise nonlinearities -------------------------------------------
 
@@ -384,7 +350,6 @@ def softmax(x, axis=-1, scale=1.0, bias=None):
     """Numerically stable softmax of x * scale + bias along `axis`; rows sum
     to 1. `bias` is a constant additive array (0 keeps an entry, large
     negative removes it) and receives no gradient."""
-    scale = x.data.dtype.type(scale)
     y = x.data * scale
     if bias is not None:
         y += bias
@@ -428,37 +393,28 @@ def avg_pool2d(x, stride):
     """Non-overlapping stride x stride window means over the last two dims."""
     if stride < 1 or int(stride) != stride:
         raise ValueError(f"pool stride must be a positive integer, got {stride}")
-    stride = int(stride)
+    s = int(stride)
     h, w = x.data.shape[-2:]
-    if h % stride or w % stride:
-        raise ValueError(f"pool stride {stride} does not divide dims {h}x{w}")
-    if stride == 1:
-        return x + 0.0
-    blocks = x.data.shape[:-2] + (h // stride, stride, w // stride, stride)
-
-    def backward(g):
-        gg = g[..., :, None, :, None] * (1.0 / (stride * stride))
-        _acc(x, np.broadcast_to(gg, blocks).reshape(x.data.shape).copy())
-
-    return Tensor(x.data.reshape(blocks).mean(axis=(-3, -1)), _parents=(x,),
-                  _backward=backward)
+    if h % s or w % s:
+        raise ValueError(f"pool stride {s} does not divide dims {h}x{w}")
+    return x.reshape(x.data.shape[:-2] + (h // s, s, w // s, s)).mean(axis=(-3, -1))
 
 
-def _upsample_matrix(n, s, dtype):
+def _upsample_matrix(n, s):
     """Interpolation matrix (n*s, n): half-pixel centers, edges clamped."""
-    src = (np.arange(n * s, dtype=np.float64) + 0.5) / s - 0.5
+    src = (np.arange(n * s) + 0.5) / s - 0.5
     src = np.clip(src, 0.0, n - 1.0)
     i0 = np.floor(src).astype(np.int64)
     i0 = np.minimum(i0, n - 2) if n > 1 else i0
     w = src - i0
-    mat = np.zeros((n * s, n), dtype=np.float64)
+    mat = np.zeros((n * s, n))
     rows = np.arange(n * s)
     if n == 1:
         mat[:, 0] = 1.0
     else:
         mat[rows, i0] = 1.0 - w
         mat[rows, i0 + 1] += w
-    return mat.astype(dtype)
+    return mat
 
 
 def bilinear_upsample2d(x, factor):
@@ -469,8 +425,8 @@ def bilinear_upsample2d(x, factor):
     if factor == 1:
         return x + 0.0
     h, w = x.data.shape[-2:]
-    uh = _upsample_matrix(h, factor, x.data.dtype)
-    uw = _upsample_matrix(w, factor, x.data.dtype)
+    uh = _upsample_matrix(h, factor)
+    uw = _upsample_matrix(w, factor)
     y = np.matmul(uh, np.matmul(x.data, uw.T))
 
     def backward(g):
@@ -484,9 +440,9 @@ def _im2col3x3(a):
     of `a` bordered by one pixel of zeros, so a matmul by [Cout, 9C] is a
     same-padded 3x3 convolution."""
     n, c, h, w = a.shape
-    ap = np.zeros((n, c, h + 2, w + 2), dtype=a.dtype)
+    ap = np.zeros((n, c, h + 2, w + 2))
     ap[:, :, 1:-1, 1:-1] = a
-    cols = np.empty((n, 9, c, h, w), dtype=a.dtype)
+    cols = np.empty((n, 9, c, h, w))
     for k in range(9):
         cols[:, k] = ap[:, :, k // 3:k // 3 + h, k % 3:k % 3 + w]
     return cols.reshape(n, 9 * c, h * w)
@@ -607,15 +563,14 @@ def selective_recurrence(delta, dx, b, c, a):
 class Tape:
     """Parameter registry with a seeded RNG for reproducible initialisation."""
 
-    def __init__(self, seed=0, dtype=np.float64):
+    def __init__(self, seed=0):
         self.rng = np.random.default_rng(seed)
-        self.dtype = dtype
         self.params = {}
 
     def param(self, name, array):
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(array, dtype=self.dtype), requires_grad=True)
+        t = Tensor(array, requires_grad=True)
         self.params[name] = t
         return t
 

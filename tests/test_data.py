@@ -9,8 +9,8 @@ import pytest
 
 from mvring.data import (BACKGROUND, DatasetError, ManifestError, Primitive,
                          SceneSpec, ShapeMismatchError, ground_truth_correspondence,
-                         load_dataset, make_scene, point_depth_px, render_views,
-                         save_dataset, view_basis)
+                         load_dataset, make_scene, point_depth_px, read_mvt,
+                         render_views, save_dataset, view_basis)
 from mvring.geometry import (ViewRing, delta_azimuth, project_rotated_x,
                              trajectory_window)
 
@@ -176,6 +176,22 @@ class TestDatasetIO:
         assert np.array_equal(back.images, rset0.images)
         assert np.array_equal(back.depths, rset0.depths)
         assert manifest["seed"] == 0 and manifest["f"] == 12
+
+    def test_read_mvt_returns_float64(self, rng, tmp_path):
+        from mvring.tensor import load_mvt, save_mvt
+        arr = rng.standard_normal((3, 4)).astype(np.float32)
+        save_mvt(tmp_path / "t.mvt", arr)
+        assert load_mvt(tmp_path / "t.mvt").dtype == np.float32
+        back = read_mvt(tmp_path / "t.mvt", DatasetError)
+        assert back.dtype == np.float64 and np.array_equal(back, arr)
+
+    def test_float32_files_load_as_float64(self, rset0, tmp_path):
+        from mvring.tensor import save_mvt
+        save_dataset(rset0, tmp_path, seed=0)
+        save_mvt(tmp_path / "images.mvt", rset0.images.astype(np.float32))
+        back, _ = load_dataset(tmp_path)
+        assert back.images.dtype == np.float64
+        assert np.array_equal(back.images, rset0.images.astype(np.float32))
 
     def test_layout_files(self, rset0, tmp_path):
         save_dataset(rset0, tmp_path, seed=0)

@@ -153,15 +153,15 @@ class TestLatentCodec:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_decode_upsample_is_the_interpolation_matmul(self, rng, dtype):
-        """Bit for bit the separable matmul pair uh @ rgb @ uw^T."""
+        """Bit for bit the separable float64 matmul pair uh @ rgb @ uw^T."""
         from mvring.tensor import _upsample_matrix
         z = rng.uniform(-1.2, 1.2, (3, 3, 5, 6)).astype(dtype)
-        rgb = np.clip((z + 1.0) / 2.0, 0.0, 1.0)
-        uh = _upsample_matrix(5, 4, rgb.dtype)
-        uw = _upsample_matrix(6, 4, rgb.dtype)
+        rgb = np.clip((z + 1.0) / 2.0, 0.0, 1.0).astype(np.float64)
+        uh = _upsample_matrix(5, 4)
+        uw = _upsample_matrix(6, 4)
         want = np.clip(np.matmul(uh, np.matmul(rgb, uw.T)), 0.0, 1.0)
         got = decode_latents(z)
-        assert got.dtype == dtype
+        assert got.dtype == np.float64
         assert np.array_equal(got, want.transpose(0, 2, 3, 1))
 
 
@@ -585,6 +585,18 @@ class TestCheckpoint:
         assert manifest["step"] == 5
         for name, p in model.named_params().items():
             assert np.array_equal(back.named_params()[name].data, p.data)
+
+    def test_float32_params_file_loads_float64(self, tmp_path):
+        from mvring.tensor import load_mvt, save_mvt
+        model = MvDenoiser(mini_config(), seed=14)
+        save_checkpoint(model, tmp_path, step=0)
+        flat = load_mvt(tmp_path / "params.mvt").astype(np.float32)
+        save_mvt(tmp_path / "params.mvt", flat)
+        back, _ = load_checkpoint(tmp_path)
+        chunks = np.split(flat, np.cumsum([p.data.size for p in back.params()])[:-1])
+        for p, chunk in zip(back.params(), chunks):
+            assert p.data.dtype == np.float64
+            assert np.array_equal(p.data.ravel(), chunk)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CheckpointError, match="manifest"):

@@ -1,5 +1,5 @@
 """Source hygiene of the package modules: no unused imports, no dead privates,
-no exported name that only tests read.
+no exported name that only tests read, no class member that nothing reads.
 
 `__init__.py` is left out: it only re-exports. A module-level `_name` counts
 as used when any module of the package reads it, by name, as an attribute or
@@ -19,6 +19,9 @@ TREES = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
 PERFBENCH_TREES = [ast.parse(p.read_text(encoding="utf-8"))
                    for p in sorted((SRC.parents[1] / "perfbench").glob("*.py"))
                    if not p.name.startswith("test_")]
+ALL_TREES = [ast.parse(p.read_text(encoding="utf-8"))
+             for d in ("src", "perfbench", "tests")
+             for p in sorted((SRC.parents[1] / d).rglob("*.py"))]
 
 # exported references that only tests read, to check runtime code against
 TEST_ONLY = {"data.point_depth_px", "geometry.project_rotated_x",
@@ -109,3 +112,15 @@ def test_test_only_names_are_exported_and_unread():
         stem, n = entry.split(".")
         assert n in exported(TREES[f"{stem}.py"]), entry
         assert not read_by_program(f"{stem}.py", n), f"{entry} is read by the program"
+
+
+def test_class_members_are_read():
+    """Every public method or property of a package class is read by name
+    somewhere in src/, perfbench/ or tests/."""
+    read = set().union(*map(references, ALL_TREES))
+    unread = [f"{name}:{cls.name}.{fn.name}"
+              for name, tree in TREES.items() for cls in tree.body
+              if isinstance(cls, ast.ClassDef)
+              for fn in cls.body if isinstance(fn, ast.FunctionDef)
+              and not fn.name.startswith("_") and fn.name not in read]
+    assert not unread, f"class members nothing reads: {unread}"

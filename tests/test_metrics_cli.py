@@ -614,6 +614,20 @@ class TestCliPipeline:
         assert main(["sample", "--checkpoint", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "s")]) == 3
 
+    def test_float32_latents_eval_like_their_float64_cast(self, dataset_dir,
+                                                          tmp_path, rng):
+        z = rng.uniform(-1, 1, (12, 3, 8, 8)).astype(np.float32)
+        rows = []
+        for name, arr in (("f32", z), ("f64", z.astype(np.float64))):
+            sm = tmp_path / name
+            sm.mkdir()
+            save_mvt(str(sm / "latents.mvt"), arr)
+            csv = tmp_path / f"{name}.csv"
+            assert main(["eval", "--dataset", str(dataset_dir),
+                         "--samples", str(sm), "--out", str(csv)]) == 0
+            rows.append(csv.read_bytes())
+        assert rows[0] == rows[1]
+
     def test_corrupt_samples_eval_error(self, dataset_dir, tmp_path):
         sm = tmp_path / "s"
         sm.mkdir()

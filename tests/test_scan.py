@@ -248,24 +248,6 @@ class TestFusedScan:
         rep = grad_check(f, [x] + p.tensors(), eps=1e-6, tol=1e-4)
         assert rep.passed, rep
 
-    def test_float32_stays_float32(self, rng):
-        p = SsmParams.init(Tape(16, dtype=np.float32), "s", 5, 3, out_scale=1.0)
-        x = Tensor(rng.standard_normal((20, 2, 5)).astype(np.float32),
-                   requires_grad=True)
-        y = selective_scan(x, p)
-        assert y.dtype == np.float32
-        y.backward(seed=np.ones(y.shape, dtype=np.float32))
-        assert all(t.grad.dtype == np.float32 for t in [x] + p.tensors())
-
-    def test_float32_loss_gives_float32_gradients(self, rng):
-        p = SsmParams.init(Tape(16, dtype=np.float32), "s", 5, 3, out_scale=1.0)
-        x = Tensor(rng.standard_normal((20, 2, 5)).astype(np.float32),
-                   requires_grad=True)
-        loss = selective_scan(x, p).sum()
-        assert loss.dtype == np.float32
-        loss.backward()
-        assert all(t.grad.dtype == np.float32 for t in [x] + p.tensors())
-
     def test_no_grad_records_nothing(self, rng):
         p = make_params(Tape(17), 4, 2)
         x = Tensor(rng.standard_normal((9, 2, 4)), requires_grad=True)

@@ -104,6 +104,17 @@ class TestAvgPool:
         want = np.array([[2.5, 4.5], [10.5, 12.5]])
         assert np.array_equal(avg_pool2d(Tensor(ramp), 2).data, want)
 
+    @pytest.mark.parametrize("s", [2, 4])
+    def test_matches_numpy_window_mean_bitwise(self, rng, s):
+        x = Tensor(rng.standard_normal((2, 3, 8, 8)), requires_grad=True)
+        y = avg_pool2d(x, s)
+        blocks = x.data.reshape(2, 3, 8 // s, s, 8 // s, s)
+        assert np.array_equal(y.data, blocks.mean(axis=(3, 5)))
+        g = rng.standard_normal(y.shape)
+        (y * Tensor(g)).sum().backward()
+        want = np.repeat(np.repeat(g / (s * s), s, axis=-2), s, axis=-1)
+        assert np.array_equal(x.grad, want)
+
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divide"):
             avg_pool2d(Tensor(np.zeros((3, 3))), 2)
@@ -194,7 +205,6 @@ class TestAutodiff:
         lambda x: conv3x3(x.reshape(1, 1, 2, 3),                 # w [1, 9], b [1]
                           concat([x.reshape(1, 6), x[:1]], axis=1),
                           x[0, :1]).exp().sum(),
-        lambda x: (x / (x * x + 2.0)).sum(),
         lambda x: (x - x.mean(axis=1, keepdims=True)).sum(axis=None),
     ])
     def test_primitive_gradients(self, op, rng):
@@ -268,14 +278,37 @@ class TestAutodiff:
                 pytest.raises(ValueError, match="finite"):
             grad_check(lambda: x.exp().sum() * np.nan, [x])
 
+    def test_backward_needs_a_scalar_output(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(RuntimeError, match="scalar"):
+            (x * 2.0).backward()
+        assert x.grad is None
+
+
+class TestFloat64:
+    @pytest.mark.parametrize("data", [
+        np.linspace(-1, 1, 6, dtype=np.float32).reshape(2, 3),
+        np.arange(-3, 3).reshape(2, 3),
+        np.arange(6).reshape(2, 3) % 2 == 0,
+        [[0.5, -1.0, 2.0], [1, 0, 3]],
+        np.float32(0.1),
+    ], ids=["float32", "int", "bool", "list", "numpy_scalar"])
+    def test_tensor_and_its_gradient_hold_float64(self, data):
+        x = Tensor(data, requires_grad=True)
+        assert x.data.dtype == np.float64
+        assert np.array_equal(x.data, np.asarray(data).astype(np.float64))
+        (x * x * Tensor(np.float32(1.5))).sum().backward()
+        assert x.grad.dtype == np.float64
+        assert np.array_equal(x.grad, 3.0 * x.data)
+
 
 def composed_conv3x3(x, w, b):
     """The composed graph conv3x3 replaced: zero border, the nine shifted
     slices stacked along channels, matmul by w [Cout, 9*Cin], bias add."""
     n, c, h, wd = x.shape
-    zr = Tensor(np.zeros((n, c, 1, wd), dtype=x.dtype))
+    zr = Tensor(np.zeros((n, c, 1, wd)))
     xp = concat([zr, x, zr], axis=2)
-    zc = Tensor(np.zeros((n, c, h + 2, 1), dtype=x.dtype))
+    zc = Tensor(np.zeros((n, c, h + 2, 1)))
     xp = concat([zc, xp, zc], axis=3)
     u = concat([xp[:, :, dy:dy + h, dx:dx + wd]
                 for dy in range(3) for dx in range(3)], axis=1)
@@ -283,10 +316,10 @@ def composed_conv3x3(x, w, b):
     return y + b.reshape(1, b.shape[0], 1, 1)
 
 
-def conv_operands(rng, n, cin, cout, h, w, dtype=np.float64):
-    x = Tensor(rng.standard_normal((n, cin, h, w)).astype(dtype), requires_grad=True)
-    wt = Tensor(rng.standard_normal((cout, 9 * cin)).astype(dtype), requires_grad=True)
-    b = Tensor(rng.standard_normal(cout).astype(dtype), requires_grad=True)
+def conv_operands(rng, n, cin, cout, h, w):
+    x = Tensor(rng.standard_normal((n, cin, h, w)), requires_grad=True)
+    wt = Tensor(rng.standard_normal((cout, 9 * cin)), requires_grad=True)
+    b = Tensor(rng.standard_normal(cout), requires_grad=True)
     return x, wt, b
 
 
@@ -308,7 +341,7 @@ class TestConv3x3:
         for conv in (conv3x3, composed_conv3x3):
             for t in ops:
                 t.zero_grad()
-            conv(*ops).backward(seed=seed)
+            (conv(*ops) * Tensor(seed)).sum().backward()
             grads.append([t.grad_array().copy() for t in ops])
         for g, want in zip(*grads):
             assert np.any(want != 0.0)
@@ -324,13 +357,6 @@ class TestConv3x3:
 
         rep = grad_check(f, list(ops), eps=1e-6, tol=1e-4)
         assert rep.passed, rep
-
-    def test_float32_stays_float32(self, rng):
-        ops = conv_operands(rng, 2, 3, 4, 5, 5, dtype=np.float32)
-        y = conv3x3(*ops)
-        assert y.dtype == np.float32
-        y.sum().backward()
-        assert all(t.grad.dtype == np.float32 for t in ops)
 
     def test_no_grad_records_nothing(self, rng):
         with no_grad():
@@ -389,10 +415,11 @@ class TestSoftplus:
 
     @staticmethod
     def assert_near_logaddexp(x):
+        """A float32 input is computed in float64, like every Tensor."""
         got = Tensor(x).softplus().data
         with np.errstate(invalid="ignore"):
-            want = np.logaddexp(0, x)
-        assert got.dtype == x.dtype and got.shape == x.shape
+            want = np.logaddexp(0, x.astype(np.float64))
+        assert got.dtype == np.float64 and got.shape == x.shape
         fin = np.isfinite(want)
         assert np.array_equal(got[~fin], want[~fin], equal_nan=True)
         assert np.all(np.abs(got[fin] - want[fin])
