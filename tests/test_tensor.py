@@ -205,6 +205,7 @@ class TestAutodiff:
         lambda x: conv3x3(x.reshape(1, 1, 2, 3),                 # w [1, 9], b [1]
                           concat([x.reshape(1, 6), x[:1]], axis=1),
                           x[0, :1]).exp().sum(),
+        lambda x: (x * (-(x * x)).exp()).sum(),
         lambda x: (x - x.mean(axis=1, keepdims=True)).sum(axis=None),
     ])
     def test_primitive_gradients(self, op, rng):
