@@ -10,7 +10,6 @@ errors, 4 violated invariants (diverged training, failed gradient check).
 from __future__ import annotations
 
 import argparse
-import ctypes
 import math
 import os
 import sys
@@ -31,10 +30,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INVARIANT = 4
-
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3     # mallopt parameters, glibc malloc.h
-MMAP_THRESHOLD = 32 * 1024 * 1024               # the most glibc raises it to on 64-bit
-TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
 
 
 class CliError(Exception):
@@ -92,16 +87,17 @@ def _build_config(manifest, args, stack_flags, scan):
     )
 
 
+def _prompt_batch(prompt, text_dim):
+    """The prompt's embedding under the sampling template, and the null one."""
+    encoder = dn.ToyTextEncoder(dim=text_dim)
+    return {"text": encoder.embed_prompt(dn.prompt_template(prompt)),
+            "null": encoder.null, "prompt": prompt}
+
+
 def _training_batch(rset, manifest, text_dim):
     scene = dat.make_scene(manifest["seed"])
-    encoder = dn.ToyTextEncoder(dim=text_dim)
-    prompt = dn.prompt_template(scene.prompt)
-    return {
-        "z0": dn.encode_images(rset.images),
-        "text": encoder.embed_prompt(prompt),
-        "null": encoder.null,
-        "prompt": scene.prompt,
-    }
+    return {"z0": dn.encode_images(rset.images),
+            **_prompt_batch(scene.prompt, text_dim)}
 
 
 def _scan_strategy(text):
@@ -145,9 +141,7 @@ def _train_one(rset, manifest, args, stack_flags, scan, seed):
 
 
 def _sample_stack(model, batch, steps, guidance, seed):
-    encoder = dn.ToyTextEncoder(dim=model.config.text_dim)
-    text = encoder.embed_prompt(dn.prompt_template(batch["prompt"]))
-    z = dn.ddim_sample(model, text, encoder.null, steps=steps,
+    z = dn.ddim_sample(model, batch["text"], batch["null"], steps=steps,
                        guidance=guidance, seed=seed)
     if not np.isfinite(z).all():
         raise CliError(f"the sample at seed {seed} holds non-finite latents "
@@ -226,7 +220,7 @@ def cmd_sample(args):
                            f"string: {prompt!r}", EXIT_IO)
     if not prompt:
         raise CliError("checkpoint carries no prompt; pass --prompt", EXIT_CONFIG)
-    batch = {"prompt": prompt}
+    batch = _prompt_batch(prompt, model.config.text_dim)
     z = _sample_stack(model, batch, args.steps, args.guidance, args.seed)
     _dump_views(args.out, z, dn.decode_latents(z))
     dat.write_manifest(os.path.join(args.out, "run.json"), {
@@ -427,30 +421,9 @@ def build_parser():
     return ap
 
 
-def pin_malloc_thresholds():
-    """Hold glibc's mmap and trim thresholds at 32 and 64 MiB.
-
-    glibc starts both at 128 KiB and raises them whenever a mapped chunk is
-    freed, in an order that differs between processes. Where they settle
-    low, a training step's larger arrays are mapped and unmapped afresh, or
-    the heap top is trimmed and faulted back, at thousands of minor page
-    faults per step. Held here, those arrays stay on the heap. Does nothing
-    where libc has no mallopt. Returns the setting, for run.json.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        ok = (mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
-              and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1)
-    except (OSError, AttributeError, TypeError):
-        ok = False
-    return f"mmap threshold {MMAP_THRESHOLD} B, trim threshold {TRIM_THRESHOLD} B" \
-        if ok else "libc default"
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    args.malloc = pin_malloc_thresholds()
+    args.malloc = dn.pin_malloc_thresholds()
     try:
         return args.fn(args)
     except CliError as exc:

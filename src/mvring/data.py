@@ -52,6 +52,7 @@ PALETTE = {
 BACKGROUND = (0.20, 0.20, 0.20)
 # world-unit width of the orthographic window; [-0.5, 0.5]^3 fits at any angle
 ORTHO_SPAN = 2.0
+DEPTH_TOL_PX = 0.5     # depth agreement that makes a reprojected pixel visible
 
 MANIFEST_VERSION = 2
 MANIFEST_NAME = "manifest.json"
@@ -210,13 +211,12 @@ class Correspondence:
     valid: np.ndarray   # [H, W] bool
 
 
-def ground_truth_correspondence(rset: RenderedSet, i, j,
-                                depth_tol=0.5) -> Correspondence:
+def ground_truth_correspondence(rset: RenderedSet, i, j) -> Correspondence:
     """Re-project view i's surface points into view j and occlusion-test them.
 
     A pixel maps validly when its surface point lands in bounds on a
-    foreground pixel of view j whose stored depth agrees within `depth_tol`
-    pixel units.
+    foreground pixel of view j whose stored depth agrees within
+    DEPTH_TOL_PX pixel units.
     """
     ring = rset.ring
     H, W = ring.H, ring.W
@@ -237,7 +237,7 @@ def ground_truth_correspondence(rset: RenderedSet, i, j,
     tgt_depth = rset.depths[j][rr, cc]
     proj_depth = (points @ fwd_j) * ppw
     visible = inb & np.isfinite(tgt_depth) & \
-        (np.abs(proj_depth - tgt_depth) <= depth_tol)
+        (np.abs(proj_depth - tgt_depth) <= DEPTH_TOL_PX)
     return Correspondence(cols=cols, rows=rows, valid=visible)
 
 

@@ -13,6 +13,7 @@ one call, one ring under two prompts, without recording an autodiff graph.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import os
@@ -45,6 +46,7 @@ __all__ = [
     "ddim_step",
     "ddim_sample",
     "check_guidance",
+    "pin_malloc_thresholds",
     "gradcheck_loss",
     "encode_images",
     "decode_latents",
@@ -58,6 +60,11 @@ __all__ = [
 LATENT_CHANNELS = 3
 LATENT_FACTOR = 4
 OPERATOR_OUT_SCALE = 0.15
+N_FREQ = 4                      # harmonics in the camera and timestep features
+
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3     # mallopt parameters, glibc malloc.h
+MMAP_THRESHOLD = 32 * 1024 * 1024               # the most glibc raises it to on 64-bit
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
 
 
 class TrainingDiverged(RuntimeError):
@@ -66,6 +73,28 @@ class TrainingDiverged(RuntimeError):
 
 class CheckpointError(RuntimeError):
     """Checkpoint directory is missing pieces or disagrees with its config."""
+
+
+def pin_malloc_thresholds():
+    """Hold glibc's mmap and trim thresholds at 32 and 64 MiB.
+
+    glibc starts both at 128 KiB and raises them whenever a mapped chunk is
+    freed, in an order that differs between processes. Where they settle
+    low, a training step's larger arrays are mapped and unmapped afresh, or
+    the heap top is trimmed and faulted back, at thousands of minor page
+    faults per step. Held here, those arrays stay on the heap. train_loop
+    and ddim_sample call this first. Does nothing where libc has no
+    mallopt. Returns the setting, for run.json.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        ok = (mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
+              and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1)
+    except (OSError, AttributeError, TypeError):
+        ok = False
+    return f"mmap threshold {MMAP_THRESHOLD} B, trim threshold {TRIM_THRESHOLD} B" \
+        if ok else "libc default"
 
 
 # -- schedule -------------------------------------------------------------------
@@ -87,8 +116,8 @@ class NoiseSchedule:
         return len(self.alpha_bar) - 1
 
     @classmethod
-    def linear(cls, T=1000, beta_start=1e-4, beta_end=0.02):
-        betas = np.linspace(beta_start, beta_end, T)
+    def linear(cls, T):
+        betas = np.linspace(1e-4, 0.02, T)
         ab = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
         return cls(alpha_bar=ab)
 
@@ -122,11 +151,11 @@ class ToyTextEncoder:
     prompt vector; a reserved null vector serves the unconditional branch.
     """
 
-    def __init__(self, dim=16, vocab=4096, seed=0x7E57):
-        rng = np.random.default_rng(seed)
-        self.dim = dim
-        self.vocab = vocab
-        self.table = rng.standard_normal((vocab, dim)) / math.sqrt(dim)
+    VOCAB = 4096
+
+    def __init__(self, dim=16):
+        rng = np.random.default_rng(0x7E57)
+        self.table = rng.standard_normal((self.VOCAB, dim)) / math.sqrt(dim)
         self.null = rng.standard_normal(dim) / math.sqrt(dim)
 
     @staticmethod
@@ -135,7 +164,7 @@ class ToyTextEncoder:
 
     def token_id(self, token):
         digest = hashlib.md5(token.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "little") % self.vocab
+        return int.from_bytes(digest[:8], "little") % self.VOCAB
 
     def embed_prompt(self, prompt):
         """Mean-pooled token embedding; tokenless input embeds as null."""
@@ -149,22 +178,22 @@ class ToyTextEncoder:
 # -- conditioning features ---------------------------------------------------------
 
 
-def camera_features(azimuth_deg, elevation_deg, n_freq=4):
+def camera_features(azimuth_deg, elevation_deg):
     """sin/cos of azimuth and elevation harmonics; 360-periodic bitwise."""
     az = math.radians(azimuth_deg % 360.0)
     el = math.radians(elevation_deg)
     feats = []
-    for k in range(n_freq):
+    for k in range(N_FREQ):
         m = float(2 ** k)
         feats += [math.sin(m * az), math.cos(m * az),
                   math.sin(m * el), math.cos(m * el)]
     return np.asarray(feats)
 
 
-def time_features(t, n_freq=4):
+def time_features(t):
     out = []
-    for k in range(n_freq):
-        w = 10000.0 ** (-k / max(n_freq - 1, 1))
+    for k in range(N_FREQ):
+        w = 10000.0 ** (-k / (N_FREQ - 1))
         out += [math.sin(t * w), math.cos(t * w)]
     return np.asarray(out)
 
@@ -175,6 +204,12 @@ def time_features(t, n_freq=4):
 @dataclass
 class ModelConfig:
     """Denoiser hyperparameters and the consistency-operator switchboard."""
+
+    # the fixed training recipe: class constants, not fields, so no checkpoint
+    # carries them
+    p_2d = 0.4          # chance a training step bypasses the cross-view operators
+    p_drop = 0.1        # chance a training step swaps the prompt for the null one
+    T = 1000            # steps of the linear noise schedule
 
     f: int = 12
     latent_h: int = 8
@@ -188,9 +223,6 @@ class ModelConfig:
     enable_rg: bool = True
     enable_air: bool = True
     scan_strategy: str = "spiral-bidirectional"
-    p_2d: float = 0.4
-    p_drop: float = 0.1
-    T: int = 1000
     elevation_deg: float = 0.0
     distance: float = 2.0
     lr: float = 2e-3
@@ -204,8 +236,6 @@ class ModelConfig:
                 raise ValueError(f"{fld.name} must be a finite number, got {v!r}")
             if fld.type == "bool" and not isinstance(v, (bool, np.bool_)):
                 raise ValueError(f"{fld.name} must be true or false, got {v!r}")
-        if not 0.0 <= self.p_2d <= 1.0 or not 0.0 <= self.p_drop <= 1.0:
-            raise ValueError("p_2d and p_drop must lie in [0, 1]")
         if not self.lr > 0.0:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.scan_strategy not in SCAN_STRATEGIES:
@@ -247,11 +277,11 @@ def decode_latents(z):
 # -- layers -----------------------------------------------------------------------
 
 
-def channel_norm(x, gain, bias, eps=1e-5):
+def channel_norm(x, gain, bias):
     """Per-position layer norm over the channel axis of [n,C,H,W]."""
     c = x.shape[1]
     return layer_norm(x, gain.reshape(1, c, 1, 1), bias.reshape(1, c, 1, 1),
-                      axis=1, eps=eps)
+                      axis=1)
 
 
 @dataclass
@@ -356,13 +386,11 @@ class MvDenoiser:
         self.config = config
         self.ring = latent_ring(config)
         self.tape = Tape(seed)
-        self.sched = NoiseSchedule.linear(T=config.T)
+        self.sched = NoiseSchedule.linear(config.T)
         c = config.channels
         t = self.tape
-        nf = 4
-        self.n_freq = nf
-        self.time_mlp = Mlp2.init(t, "time_mlp", 2 * nf, c, c)
-        self.cam_mlp = Mlp2.init(t, "cam_mlp", 4 * nf, c, c)
+        self.time_mlp = Mlp2.init(t, "time_mlp", 2 * N_FREQ, c, c)
+        self.cam_mlp = Mlp2.init(t, "cam_mlp", 4 * N_FREQ, c, c)
         self.stem = ConvParams.init(t, "stem", LATENT_CHANNELS, c)
         # one seed so every attention operator starts from the same
         # projections, mirroring init-from-the-2d-path weight sharing; the
@@ -399,19 +427,19 @@ class MvDenoiser:
         self.head_norm = NormParams.init(t, "head_norm", c)
         self.head = ConvParams.init(t, "head", c, LATENT_CHANNELS, zero=True)
         self.air_cfg = AirConfig()
-        self.cam_feats = np.stack([                               # [f, 4*nf]
-            camera_features(self.ring.azimuth_deg(v), self.ring.elevation_deg, nf)
+        self.cam_feats = np.stack([                               # [f, 4*N_FREQ]
+            camera_features(self.ring.azimuth_deg(v), self.ring.elevation_deg)
             for v in range(config.f)])
 
     def params(self):
-        return self.tape.tensors()
+        return list(self.tape.params.values())
 
     def named_params(self):
-        return self.tape.named()
+        return self.tape.params
 
     def _embeddings(self, t):
         """Per-view camera embedding plus the timestep embedding, [f, C]."""
-        tf = Tensor(time_features(t, self.n_freq)[None, :])
+        tf = Tensor(time_features(t)[None, :])
         return self.cam_mlp(Tensor(self.cam_feats)) + self.time_mlp(tf)
 
     def denoise(self, z_t, t, text_emb, mode_2d=False):
@@ -469,35 +497,34 @@ class MvDenoiser:
 
 
 class Adam:
-    def __init__(self, params, lr=2e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - self.BETA1 ** self.t
+        b2c = 1.0 - self.BETA2 ** self.t
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            self.m[i] = self.BETA1 * self.m[i] + (1.0 - self.BETA1) * g
+            self.v[i] = self.BETA2 * self.v[i] + (1.0 - self.BETA2) * (g * g)
             p.data = p.data - self.lr * (self.m[i] / b1c) / (
-                np.sqrt(self.v[i] / b2c) + self.eps)
+                np.sqrt(self.v[i] / b2c) + self.EPS)
 
 
 def training_step(batch, model: MvDenoiser, sched: NoiseSchedule, rng):
     """One eps-prediction step; returns the loss with gradients populated.
 
-    Draws, in order: timestep, noise, the 2d-degrade coin (p_2d), and the
-    null-text coin (p_drop). Aborts on non-finite loss.
+    Draws, in order: timestep, noise, the 2d-degrade coin (ModelConfig.p_2d),
+    and the null-text coin (ModelConfig.p_drop). Aborts on non-finite loss.
     """
     cfg = model.config
     z0 = batch["z0"]
@@ -530,6 +557,7 @@ def train_loop(batch, model, seed=0, max_steps=20000, stop_loss=None,
                          f"{max_steps} and {log_every}")
     if stop_loss is not None and math.isnan(stop_loss):
         raise ValueError("stop_loss must be a number or None, got nan")
+    pin_malloc_thresholds()
     rng = np.random.default_rng(seed)
     opt = Adam(model.params(), lr=model.config.lr)
     sched = model.sched
@@ -589,6 +617,7 @@ def ddim_sample(model: MvDenoiser, text_emb, null_emb, steps=50, guidance=7.5,
     needs the conditional branch only.
     """
     check_guidance(guidance)
+    pin_malloc_thresholds()
     cfg = model.config
     sched = model.sched
     shape = (cfg.f, LATENT_CHANNELS, cfg.latent_h, cfg.latent_w)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LatentStack
-from .tensor import Tensor, concat, matmul, selective_recurrence, take_rows
+from .tensor import Tensor, concat, matmul, selective_recurrence
 
 __all__ = [
     "ScanOrder",
@@ -217,13 +217,14 @@ def rapid_glance(stack: LatentStack, params: SsmParams,
                  strategy="spiral-bidirectional"):
     """Bidirectional selective scan over each view ring, plus residual.
 
-    Tokens are gathered into the strategy's spatial order within a view,
-    then laid out views outermost, [f, H*W, B, C]. Pass one scans a ring's
-    views in ascending order; pass two is the same layout with the view
-    axis reversed by slicing, so spatial order within a view is unchanged.
-    Both passes of every ring in the stack run as one selective scan over
-    [L, 2B, C]; the output is the mean of both passes added back onto the
-    input. `row-major` runs pass one only.
+    Tokens are gathered into the strategy's spatial order within a view by
+    indexing with its permutation, then laid out views outermost,
+    [f, H*W, B, C]; indexing with the inverse permutation puts them back.
+    Pass one scans a ring's views in ascending order; pass two is the same
+    layout with the view axis reversed by slicing, so spatial order within
+    a view is unchanged. Both passes of every ring in the stack run as one
+    selective scan over [L, 2B, C]; the output is the mean of both passes
+    added back onto the input. `row-major` runs pass one only.
     """
     n, C, H, W = stack.data.shape
     if params.d_model != C:
@@ -232,13 +233,13 @@ def rapid_glance(stack: LatentStack, params: SsmParams,
     b, f, hw = stack.rings, stack.f, H * W
     inverse = np.argsort(order)
     tokens = stack.data.transpose((2, 3, 0, 1)).reshape(hw, b, f, C)
-    t = take_rows(tokens, order, inverse=inverse).transpose((2, 0, 1, 3))  # [f, HW, B, C]
+    t = tokens[order].transpose((2, 0, 1, 3))                 # [f, HW, B, C]
     if strategy == "row-major":
         y = selective_scan(t.reshape(f * hw, b, C), params).reshape(f, hw, b, C)
     else:
         seq = concat([t, t[::-1]], axis=2).reshape(f * hw, 2 * b, C)
         y = selective_scan(seq, params).reshape(f, hw, 2, b, C)
         y = (y[:, :, 0] + y[::-1, :, 1]) * 0.5
-    back = take_rows(y.transpose((1, 2, 0, 3)), inverse, inverse=order)
+    back = y.transpose((1, 2, 0, 3))[inverse]
     maps = back.reshape(H, W, n, C).transpose((2, 3, 0, 1))
     return stack.with_data(maps + stack.data)

@@ -3,7 +3,7 @@
 Every Tensor holds a float64 numpy array, whatever it was built from, and
 records a dynamic graph over a closed primitive set: matmul, addition and
 multiplication, exp/sigmoid/softplus/silu, softmax, layer norm, sums,
-reshape/transpose/concat, basic slicing, row gather, 3x3 convolution,
+reshape/transpose/concat, slicing and index-array gathers, 3x3 convolution,
 bilinear upsampling, a first-order linear recurrence, and the selective-SSM
 recurrence beneath the scan as one node with a hand-written backward. Means
 and average pooling are composed from these. `backward()` needs a scalar
@@ -37,7 +37,6 @@ __all__ = [
     "avg_pool2d",
     "bilinear_upsample2d",
     "conv3x3",
-    "take_rows",
     "linear_recurrence",
     "selective_recurrence",
     "grad_check",
@@ -46,6 +45,7 @@ __all__ = [
 ]
 
 _grad_enabled = True
+LN_EPS = 1e-5
 
 
 @contextmanager
@@ -291,7 +291,11 @@ class Tensor:
         return self.transpose(axes)
 
     def __getitem__(self, idx):
-        """Basic slicing only; fancy gathers go through take_rows."""
+        """Slicing, or a gather by an index array that repeats no entry.
+
+        The backward pass assigns the output gradient into place, so an
+        index that repeats an entry would keep only one of its gradients.
+        """
         def backward(g):
             gx = np.zeros_like(self.data)
             gx[idx] = g
@@ -366,12 +370,12 @@ def softmax(x, axis=-1, scale=1.0, bias=None):
     return Tensor(y, _parents=(x,), _backward=backward)
 
 
-def layer_norm(x, gain, bias, axis=-1, eps=1e-5):
-    """(x - mean) / sqrt(var + eps) * gain + bias along one axis."""
+def layer_norm(x, gain, bias, axis=-1):
+    """(x - mean) / sqrt(var + LN_EPS) * gain + bias along one axis."""
     mu = x.data.mean(axis=axis, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
 
     def backward(g):
@@ -480,18 +484,6 @@ def conv3x3(x, w, b):
     return Tensor(y, _parents=(x, w, b), _backward=backward)
 
 
-def take_rows(x, idx, inverse):
-    """Gather rows of x along axis 0 with a permutation `idx`.
-
-    Output shape is idx.shape + x.shape[1:]. `inverse` is the inverse
-    permutation (`np.argsort(idx)`); the backward pass gathers with it.
-    """
-    def backward(g):
-        _acc(x, np.take(g, inverse, axis=0))
-
-    return Tensor(np.take(x.data, idx, axis=0), _parents=(x,), _backward=backward)
-
-
 def _reverse_recurrence(a, g):
     """Adjoint of h[l] = a[l] * h[l-1] + u[l]: gh[l] = g[l] + a[l+1] * gh[l+1]."""
     a_rev = np.concatenate([np.ones_like(a[:1]), a[:0:-1]], axis=0)
@@ -583,12 +575,6 @@ class Tape:
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
-
-    def tensors(self):
-        return list(self.params.values())
-
-    def named(self):
-        return dict(self.params)
 
 
 # -- gradient checking ---------------------------------------------------------------

@@ -179,7 +179,7 @@ def test_criterion_5_miniature_gradcheck_under_60s():
 
 
 def test_criterion_6_diffusion_identities():
-    sched = dn.NoiseSchedule.linear()
+    sched = dn.NoiseSchedule.linear(dn.ModelConfig.T)
     rng = np.random.default_rng(1006)
     z0 = rng.standard_normal((2, 3, 4, 4))
     eps = rng.standard_normal(z0.shape)

@@ -124,3 +124,68 @@ def test_class_members_are_read():
               for fn in cls.body if isinstance(fn, ast.FunctionDef)
               and not fn.name.startswith("_") and fn.name not in read]
     assert not unread, f"class members nothing reads: {unread}"
+
+
+# the entry point: a caller passes argv only to drive it in-process
+UNSET_DEFAULTS_ALLOWED = {"cli.main.argv"}
+
+
+def defaulted_parameters(tree):
+    """(qualified name, parameter, positional index or None, bound offset)
+    for every parameter with a default. The offset is 1 for a method bound
+    to its instance or class, so a call's first argument fills the second
+    parameter; __init__ is qualified by its class, as its callers name it."""
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, node)
+            elif isinstance(node, ast.FunctionDef):
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in node.decorator_list)
+                offset = int(owner is not None and not static)
+                name = owner.name if node.name == "__init__" else node.name
+                a = node.args
+                positional = a.posonlyargs + a.args
+                for i, arg in enumerate(positional[len(positional) - len(a.defaults):],
+                                        len(positional) - len(a.defaults)):
+                    yield name, arg.arg, i, offset
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield name, arg.arg, None, offset
+                yield from visit(node.body, None)
+    yield from visit(tree.body, None)
+
+
+def calls_setting(trees):
+    """Callee name -> [(positional count, keywords, star, double star)]."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            kws = {k.arg for k in node.keywords}
+            out.setdefault(name, []).append(
+                (len(node.args), kws - {None}, star, None in kws))
+    return out
+
+
+def test_defaulted_parameters_are_set_by_the_program():
+    """A defaulted parameter of a runtime module that no package module or
+    perfbench script sets, by keyword, by position or through * or **, is
+    a constant: it belongs in the body, not the signature."""
+    calls = calls_setting(list(TREES.values()) + PERFBENCH_TREES)
+    unset = []
+    for mod, tree in TREES.items():
+        for fn, param, index, offset in defaulted_parameters(tree):
+            qual = f"{mod[:-3]}.{fn}.{param}"
+            if qual in UNSET_DEFAULTS_ALLOWED:
+                continue
+            if not any(param in kws or dstar
+                       or (index is not None
+                           and (star or n > index - offset))
+                       for n, kws, star, dstar in calls.get(fn, ())):
+                unset.append(qual)
+    assert not unset, f"defaulted parameters no program caller sets: {unset}"

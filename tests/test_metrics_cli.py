@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvring.cli import CSV_HEADER, main, parse_stack, pin_malloc_thresholds
+from mvring.cli import CSV_HEADER, main, parse_stack
+from mvring.denoiser import pin_malloc_thresholds
 from mvring.data import ground_truth_correspondence
 from mvring.metrics import (adjacent_pairs, consistency_metric, psnr,
                             read_ppm, write_ppm)
@@ -387,7 +388,8 @@ class TestCliPipeline:
     def test_bad_checkpoint_config_is_io_error(self, tmp_path, capsys, edit):
         """Configs that ModelConfig or the model it builds reject exit 3, as
         do checkpoints of the formats that had text-attention q/k and norm,
-        or attention heads and AIR strides in the config."""
+        attention heads and AIR strides, or the training recipe's p_2d,
+        p_drop and T in the config."""
         from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
         ck = tmp_path / "ck"
         save_checkpoint(MvDenoiser(ModelConfig(f=2, latent_h=4, latent_w=4,
@@ -405,7 +407,7 @@ class TestCliPipeline:
         elif edit == "unknown_scan_strategy":
             config["scan_strategy"] = "zigzag"
         elif edit == "p_2d_above_one":
-            config["p_2d"] = 1.5
+            config.update(p_2d=1.5, p_drop=0.1)   # retired fields, any value
         elif edit == "zero_lr":
             config["lr"] = 0.0
         elif edit == "zero_f":
@@ -422,7 +424,7 @@ class TestCliPipeline:
         elif edit == "fractional_f":
             config["f"] = 12.5
         elif edit == "zero_T":
-            config["T"] = 0
+            config["T"] = 0                       # retired field, any value
         elif edit == "string_enable_aa":
             config["enable_aa"] = "no"
         elif edit == "param_names_int":
@@ -440,7 +442,7 @@ class TestCliPipeline:
         assert ("param_names" if edit.startswith("param_names") else "config") in err
         named = {"zero_d_state": "d_state must be", "zero_lr": "lr must be",
                  "unknown_scan_strategy": "unknown scan strategy",
-                 "p_2d_above_one": "p_2d and p_drop must lie"}
+                 "p_2d_above_one": "'p_2d'", "zero_T": "'T'"}
         assert named.get(edit, "") in err
         assert not (tmp_path / "s").exists()
 

@@ -59,3 +59,33 @@ def test_traced_full_stack_denoise_records_every_operator(mv):
     missing = set(OPERATOR_SPANS) - set(tracer.names)
     assert not missing, f"no span recorded for {sorted(missing)}"
     assert dn.adjacent_attention is mv.attention.adjacent_attention
+
+
+def test_step_modes_replay_training_steps_coins(mv):
+    """perfbench's replay of training_step's draws reads ModelConfig.p_2d,
+    ModelConfig.p_drop and the model's schedule length; its coins must be
+    the ones training_step draws."""
+    dn = mv.denoiser
+    config = dn.ModelConfig(f=3, latent_h=4, latent_w=4, channels=8, text_dim=8,
+                            d_state=2)
+    model = dn.MvDenoiser(config, seed=0)
+    batch = {"z0": np.random.default_rng(0).standard_normal((3, 3, 4, 4)),
+             "text": np.ones(8), "null": np.zeros(8)}
+    env = {"model": model, "batch": batch}
+    n = 30
+    modes = workloads.step_modes(env, n)
+    draws = workloads.training_draws(env, workloads.TRAIN_RNG_SEED)
+    drops = [next(draws)[2] for _ in range(n)]
+    seen = []
+    real = model.denoise
+
+    def spy(z_t, t, text, mode_2d=False):
+        seen.append((mode_2d, text is batch["null"]))
+        return real(z_t, t, text, mode_2d=mode_2d)
+
+    model.denoise = spy
+    rng = np.random.default_rng(workloads.TRAIN_RNG_SEED)
+    for _ in range(n):
+        dn.training_step(batch, model, model.sched, rng)
+    assert seen == list(zip(modes, drops))
+    assert True in modes and False in modes and True in drops

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mvring.tensor import (MvtError, Tape, Tensor, _sigmoid, avg_pool2d,
                            bilinear_upsample2d, concat, conv3x3, grad_check,
                            layer_norm, linear_recurrence, load_mvt, matmul,
-                           no_grad, save_mvt, softmax, take_rows)
+                           no_grad, save_mvt, softmax)
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -222,11 +222,20 @@ class TestAutodiff:
 
         def f():
             c = concat([a, b], axis=0)
-            g = take_rows(c, idx, np.argsort(idx))
+            g = c[idx]
             return (layer_norm(g, gain, bias) * g).sum()
 
         rep = grad_check(f, [a, b, gain, bias], eps=1e-6, tol=1e-4)
         assert rep.passed, rep
+
+    def test_permutation_gather_matches_np_take_bitwise(self, rng):
+        x = Tensor(rng.standard_normal((6, 2, 3)), requires_grad=True)
+        perm = rng.permutation(6)
+        g = rng.standard_normal((6, 2, 3))
+        y = x[perm]
+        (y * Tensor(g)).sum().backward()
+        assert np.array_equal(y.data, np.take(x.data, perm, axis=0))
+        assert np.array_equal(x.grad, np.take(g, np.argsort(perm), axis=0))
 
     def test_linear_recurrence_gradients(self, rng):
         a = Tensor(rng.uniform(0.1, 0.9, (6, 3)), requires_grad=True)
