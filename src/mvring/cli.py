@@ -100,12 +100,6 @@ def _training_batch(rset, manifest, text_dim):
             **_prompt_batch(scene.prompt, text_dim)}
 
 
-def _scan_strategy(text):
-    if text not in SCAN_STRATEGIES:
-        raise ValueError(f"unknown scan strategy {text!r}")
-    return text
-
-
 def _seed(text):
     """argparse type of --seed: an integer >= 0, as numpy's generators take."""
     if not text.isdecimal():
@@ -131,8 +125,7 @@ def _parse_entries(flag, text, parse):
     return out
 
 
-def _train_one(rset, manifest, args, stack_flags, scan, seed):
-    config = _build_config(manifest, args, stack_flags, scan)
+def _train_one(rset, manifest, args, config, seed):
     batch = _training_batch(rset, manifest, config.text_dim)
     model = dn.MvDenoiser(config, seed=seed)
     history = dn.train_loop(batch, model, seed=seed, max_steps=args.steps,
@@ -187,9 +180,8 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     rset, manifest = dat.load_dataset(args.dataset)
-    stack_flags = parse_stack(args.stack)
-    model, batch, history = _train_one(rset, manifest, args, stack_flags,
-                                       args.scan, args.seed)
+    config = _build_config(manifest, args, parse_stack(args.stack), args.scan)
+    model, batch, history = _train_one(rset, manifest, args, config, args.seed)
     stack = model.config.stack
     run_id = f"train__{stack}__{args.scan}__s{args.seed}"
     rows = [_csv_row(run_id, stack, args.scan, args.seed, step=s, train_loss=ma)
@@ -282,21 +274,24 @@ def cmd_ablate(args):
     dn.check_guidance(args.guidance)
     dn.ddim_timesteps(dn.ModelConfig.T, args.sample_steps)
     stacks = _parse_entries("--stacks", args.stacks, parse_stack)
-    scans = list(_parse_entries("--scans", args.scans, _scan_strategy))
+    scans = list(_parse_entries("--scans", args.scans, str))
     sample_seeds = list(_parse_entries("--sample-seeds", args.sample_seeds,
                                        int).values())
     if min(sample_seeds) < 0:
         raise CliError("--sample-seeds must be integers >= 0", EXIT_CONFIG)
     rset, manifest = dat.load_dataset(args.dataset)
+    # every config is built, and so checked, before the first one trains
+    configs = [[_build_config(manifest, args, flags, scan) for scan in scans]
+               for flags in stacks.values()]
     gt_decoded = dn.decode_latents(dn.encode_images(rset.images))
     rows, views = [], []
-    for flags in stacks.values():
+    for stack_configs in configs:
         trained = None
-        for scan in scans:
+        for scan, config in zip(scans, stack_configs):
             # only rg reads the scan strategy, so an rg-free stack trains once
-            if trained is None or flags["enable_rg"]:
-                model, batch, history = _train_one(rset, manifest, args, flags,
-                                                   scan, args.seed)
+            if trained is None or config.enable_rg:
+                model, batch, history = _train_one(rset, manifest, args, config,
+                                                   args.seed)
                 samples = {}
                 for s in sample_seeds:
                     z = _sample_stack(model, batch, args.sample_steps,

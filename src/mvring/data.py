@@ -34,7 +34,6 @@ __all__ = [
     "render_views",
     "ground_truth_correspondence",
     "view_basis",
-    "point_depth_px",
     "save_dataset",
     "load_dataset",
 ]
@@ -141,12 +140,6 @@ def view_basis(azimuth_deg, elevation_deg=0.0):
 
 def _pixels_per_world(ring):
     return ring.W / ORTHO_SPAN
-
-
-def point_depth_px(point, ring, i):
-    """Signed pixel-unit depth of a world point in view i (axis plane = 0)."""
-    _, _, fwd = view_basis(ring.azimuth_deg(i), ring.elevation_deg)
-    return float(np.dot(point, fwd) * _pixels_per_world(ring))
 
 
 def _ray_grid(ring, i):

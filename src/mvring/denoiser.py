@@ -240,6 +240,11 @@ class ModelConfig:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.scan_strategy not in SCAN_STRATEGIES:
             raise ValueError(f"unknown scan strategy {self.scan_strategy!r}")
+        air = AirConfig()
+        if self.enable_air and any(d % s for d in (self.latent_h, self.latent_w)
+                                   for s in (air.tau, air.rho)):
+            raise ValueError(f"air strides {air.tau},{air.rho} must divide the "
+                             f"{self.latent_h}x{self.latent_w} latents")
 
     @property
     def stack(self):

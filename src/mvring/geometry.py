@@ -17,7 +17,6 @@ __all__ = [
     "ViewRing",
     "LatentStack",
     "delta_azimuth",
-    "project_rotated_x",
     "project_rotated_x_simplified",
     "trajectory_window",
     "round_half_away",
@@ -90,16 +89,6 @@ def delta_azimuth(ring: ViewRing, i: int, j: int) -> float:
     if r == -180.0:
         r = 180.0
     return r
-
-
-def project_rotated_x(x, delta_deg, depth_px, W):
-    """Column after rotating by delta degrees at signed pixel depth `depth_px`.
-
-    x' = (x - W/2) cos(da) + W/2 - d sin(da). Depth is measured along the view
-    direction in pixel units, zero on the rotation-axis plane.
-    """
-    da = math.radians(delta_deg)
-    return (x - W / 2.0) * math.cos(da) + W / 2.0 - depth_px * math.sin(da)
 
 
 def project_rotated_x_simplified(x, delta_deg, W):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .data import RenderedSet, ground_truth_correspondence
@@ -13,7 +11,6 @@ __all__ = [
     "adjacent_pairs",
     "psnr",
     "write_ppm",
-    "read_ppm",
 ]
 
 PSNR_CAP_DB = 99.0
@@ -73,23 +70,3 @@ def write_ppm(path, image):
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(quantized.tobytes())
-
-
-def read_ppm(path):
-    """Inverse of write_ppm, back to float64 in [0, 1]. Malformed dimensions,
-    a maxval outside 1..255 or a truncated payload raise ValueError."""
-    with open(path, "rb") as fh:
-        if fh.readline().strip() != b"P6":
-            raise ValueError(f"{path}: not a binary PPM")
-        dims = fh.readline().split()
-        if len(dims) != 2 or not all(d.isdigit() and int(d) > 0 for d in dims):
-            raise ValueError(f"{path}: malformed PPM dimensions {dims}")
-        maxval = fh.readline().strip()
-        if not (maxval.isdigit() and 1 <= int(maxval) <= 255):
-            raise ValueError(f"{path}: PPM maxval {maxval} is not in 1..255")
-        w, h = int(dims[0]), int(dims[1])
-        if os.fstat(fh.fileno()).st_size - fh.tell() < w * h * 3:
-            raise ValueError(f"{path}: truncated PPM payload for {w}x{h}")
-        raw = fh.read(w * h * 3)
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
-    return arr.astype(np.float64) / int(maxval)

@@ -4,8 +4,8 @@ Every Tensor holds a float64 numpy array, whatever it was built from, and
 records a dynamic graph over a closed primitive set: matmul, addition and
 multiplication, exp/sigmoid/softplus/silu, softmax, layer norm, sums,
 reshape/transpose/concat, slicing and index-array gathers, 3x3 convolution,
-bilinear upsampling, a first-order linear recurrence, and the selective-SSM
-recurrence beneath the scan as one node with a hand-written backward. Means
+bilinear upsampling, and the selective-SSM recurrence beneath the scan as one
+node with a hand-written backward. Means
 and average pooling are composed from these. `backward()` needs a scalar
 output and replays the graph in a fixed topological order, so repeated
 backward passes are bit-identical. Inside `no_grad()` no graph is recorded:
@@ -37,7 +37,6 @@ __all__ = [
     "avg_pool2d",
     "bilinear_upsample2d",
     "conv3x3",
-    "linear_recurrence",
     "selective_recurrence",
     "grad_check",
     "save_mvt",
@@ -489,23 +488,6 @@ def _reverse_recurrence(a, g):
     a_rev = np.concatenate([np.ones_like(a[:1]), a[:0:-1]], axis=0)
     g_rev = np.ascontiguousarray(g[::-1])
     return _kernel.linrec_array(a_rev, g_rev)[::-1]
-
-
-def linear_recurrence(a, u):
-    """h[0] = u[0]; h[l] = a[l] * h[l-1] + u[l], elementwise over trailing dims."""
-    if a.data.shape != u.data.shape:
-        raise ValueError(f"recurrence shapes differ: {a.data.shape} vs {u.data.shape}")
-    h = _kernel.linrec_array(a.data, u.data)
-
-    def backward(g):
-        gh = _reverse_recurrence(a.data, g)
-        if u.requires_grad:
-            _acc(u, gh)
-        if a.requires_grad:
-            h_prev = np.concatenate([np.zeros_like(h[:1]), h[:-1]], axis=0)
-            _acc(a, gh * h_prev)
-
-    return Tensor(h, _parents=(a, u), _backward=backward)
 
 
 def selective_recurrence(delta, dx, b, c, a):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvring import scan
+from mvring import reference, scan
 from mvring.data import make_scene, render_views
 from mvring.geometry import LatentStack, ViewRing
 from mvring.tensor import Tape, Tensor
@@ -33,8 +33,7 @@ def glance_spy(monkeypatch):
 
     Returns run(x, f, strategy) -> (output, scan input, expected scan input).
     x is [B*f, C, H, W]. The expected scan input has column p*B + r equal to
-    ring r's tokens in build_scan_order pass p's order (row-major has one
-    pass; the others add the reversed-view pass).
+    ring r's tokens in the order of reference.glance_orders' pass p.
     """
     seen = []
 
@@ -50,10 +49,8 @@ def glance_spy(monkeypatch):
         params = scan.SsmParams.init(Tape(0), "s", c, 2, out_scale=1.0)
         out = scan.rapid_glance(LatentStack(Tensor(x), ViewRing(f=f, W=w, H=h)),
                                 params, strategy).data.data
-        order = scan.build_scan_order(f, h, w, strategy)
-        orders = (order,) if strategy == "row-major" \
-            else (order, order.reversed_views())
-        tokens = x.transpose(0, 2, 3, 1).reshape(n // f, f * h * w, c)
+        tokens = reference.to_tokens(x).reshape(n // f, f * h * w, c)
+        orders = reference.glance_orders(f, h, w, strategy)
         want = np.stack([ring[o.perm] for o in orders for ring in tokens], axis=1)
         (got,) = seen
         return out, got, want

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from mvring import denoiser as dn
-from mvring.attention import AirConfig, AttentionParams, adjacent_attention, air_attention, trajectory_attention
+from mvring import reference as ref
+from mvring.attention import (AirConfig, AttentionParams, adjacent_attention,
+                              air_attention, trajectory_attention)
 from mvring.cli import main
 from mvring.data import make_scene, render_views, ground_truth_correspondence
 from mvring.geometry import LatentStack, ViewRing, delta_azimuth, trajectory_window
@@ -68,68 +70,35 @@ def test_criterion_2_spiral_bijection_and_roundtrip(glance_spy):
 # -- 3: attention reductions -----------------------------------------------------------
 
 
-def np_softmax(x):
-    e = np.exp(x - x.max(-1, keepdims=True))
-    return e / e.sum(-1, keepdims=True)
-
-
-def np_sdpa(q, k, v):
-    return np_softmax(q @ k.T / np.sqrt(q.shape[-1])) @ v
-
-
 def test_criterion_3_attention_reductions():
     rng = np.random.default_rng(1003)
     tape = Tape(33)
     p4 = AttentionParams.init(tape, "p4", 4, out_scale=1.0)
 
-    # (a) identical views -> plain self attention, 1e-12
+    # (a) identical views -> plain self attention, 1e-12: dense attention
+    # over a one-view ring is self attention
     ring5 = ViewRing(f=5, W=2, H=2)
     one = rng.standard_normal((1, 4, 2, 2))
     stack = LatentStack(Tensor(np.repeat(one, 5, axis=0)), ring5)
     got = adjacent_attention(stack, p4).data.data
-    tok = one.transpose(0, 2, 3, 1).reshape(4, 4)
-    want = (np_sdpa(tok @ p4.w_q.data, tok @ p4.w_k.data, tok @ p4.w_v.data)
-            @ p4.w_o.data).reshape(1, 2, 2, 4).transpose(0, 3, 1, 2)
+    want = ref.air_attention(one, np.ones((1, 1, 2, 2)), AirConfig(1, 1), p4)
     err_a = float(np.max(np.abs(got - np.repeat(want, 5, axis=0))))
 
     # (b) unit scores, identity strides -> dense all-view attention, 1e-10
     ring4 = ViewRing(f=4, W=4, H=4)
     z = rng.standard_normal((4, 4, 4, 4))
-    st = LatentStack(Tensor(z), ring4)
-    got_b = air_attention(st, Tensor(np.ones((4, 1, 4, 4))), AirConfig(1, 1),
-                          p4).data.data
-    toks = z.transpose(0, 2, 3, 1).reshape(4, 16, 4)
-    kc = (toks @ p4.w_k.data).reshape(-1, 4)
-    vc = (toks @ p4.w_v.data).reshape(-1, 4)
-    want_b = np.stack([np_sdpa(toks[i] @ p4.w_q.data, kc, vc) @ p4.w_o.data
-                       for i in range(4)]).reshape(4, 4, 4, 4).transpose(0, 3, 1, 2)
-    err_b = float(np.max(np.abs(got_b - want_b)))
+    ones = np.ones((4, 1, 4, 4))
+    got_b = air_attention(LatentStack(Tensor(z), ring4), Tensor(ones),
+                          AirConfig(1, 1), p4).data.data
+    err_b = float(np.max(np.abs(
+        got_b - ref.air_attention(z, ones, AirConfig(1, 1), p4))))
 
     # (c) trajectory attention == gather-and-attend oracle on f=4, 8x8, 1e-10
     ring8 = ViewRing(f=4, W=8, H=8)
     z8 = rng.standard_normal((4, 4, 8, 8))
     got_c = trajectory_attention(LatentStack(Tensor(z8), ring8), ring8,
                                  p4).data.data
-    toks8 = z8.transpose(0, 2, 3, 1).reshape(4, 64, 4)
-    q = toks8 @ p4.w_q.data
-    k = toks8 @ p4.w_k.data
-    v = toks8 @ p4.w_v.data
-    out = np.empty_like(toks8)
-    for i in range(4):
-        for y in range(8):
-            for x in range(8):
-                ks, vs = [], []
-                for off in (-1, 0, 1):
-                    j = (i + off) % 4
-                    da = delta_azimuth(ring8, i, j) if off else 0.0
-                    for cc, rr in trajectory_window(x, y, da, 8, 8):
-                        ks.append(k[j, rr * 8 + cc])
-                        vs.append(v[j, rr * 8 + cc])
-                out[i, y * 8 + x] = np_sdpa(q[i, y * 8 + x][None],
-                                            np.stack(ks), np.stack(vs))[0] \
-                    @ p4.w_o.data
-    want_c = out.reshape(4, 8, 8, 4).transpose(0, 3, 1, 2)
-    err_c = float(np.max(np.abs(got_c - want_c)))
+    err_c = float(np.max(np.abs(got_c - ref.trajectory_attention(z8, p4))))
 
     report(3, "attention reductions",
            err_a <= 1e-12 and err_b <= 1e-10 and err_c <= 1e-10,

@@ -7,34 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvring import reference as ref
 from mvring.attention import (AirConfig, AttentionParams, ScoreMapper,
                               adjacent_attention, air_attention, score_map,
                               sdpa, trajectory_attention)
-from mvring.geometry import LatentStack, ViewRing, delta_azimuth, trajectory_window
+from mvring.geometry import LatentStack, ViewRing
 from mvring.tensor import Tape, Tensor, grad_check
-
-
-def np_softmax(x, axis=-1):
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def np_sdpa(q, k, v):
-    return np_softmax(q @ k.T / math.sqrt(q.shape[-1])) @ v
 
 
 def random_params(seed, c):
     return AttentionParams.init(Tape(seed), "p", c, out_scale=1.0)
 
 
-def to_tokens(arr):
-    f, c, h, w = arr.shape
-    return arr.transpose(0, 2, 3, 1).reshape(f, h * w, c)
-
-
-def to_maps(tok, h, w):
-    f, hw, c = tok.shape
-    return tok.reshape(f, h, w, c).transpose(0, 3, 1, 2)
+def self_attention(one, p):
+    """Dense attention over a one-view ring [1, C, H, W]: self attention."""
+    return ref.air_attention(one, np.ones((1, 1) + one.shape[2:]),
+                             AirConfig(1, 1), p)
 
 
 class TestSdpa:
@@ -85,10 +73,7 @@ class TestAdjacentAttention:
         one = rng.standard_normal((1, 4, 2, 3))
         stack = LatentStack(Tensor(np.repeat(one, 5, axis=0)), ring)
         got = adjacent_attention(stack, p).data.data
-        tok = to_tokens(one)[0]
-        want = np_sdpa(tok @ p.w_q.data, tok @ p.w_k.data,
-                       tok @ p.w_v.data) @ p.w_o.data
-        want = to_maps(want[None], 2, 3)
+        want = self_attention(one, p)
         assert np.max(np.abs(got - np.repeat(want, 5, axis=0))) <= 1e-12
 
     def test_single_view_is_self_attention(self, rng):
@@ -96,24 +81,14 @@ class TestAdjacentAttention:
         p = random_params(1, 4)
         z = rng.standard_normal((1, 4, 2, 2))
         got = adjacent_attention(LatentStack(Tensor(z), ring), p).data.data
-        tok = to_tokens(z)[0]
-        want = to_maps((np_sdpa(tok @ p.w_q.data, tok @ p.w_k.data,
-                                tok @ p.w_v.data) @ p.w_o.data)[None], 2, 2)
-        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(got - self_attention(z, p))) <= 1e-12
 
     def test_concat_and_attend_oracle(self, rng):
         ring = ViewRing(f=4, W=2, H=2)
         p = random_params(2, 4)
         z = rng.standard_normal((4, 4, 2, 2))
         got = adjacent_attention(LatentStack(Tensor(z), ring), p).data.data
-        toks = to_tokens(z)
-        outs = []
-        for i in range(4):
-            cat = np.concatenate([toks[(i - 1) % 4], toks[i], toks[(i + 1) % 4]])
-            outs.append(np_sdpa(toks[i] @ p.w_q.data, cat @ p.w_k.data,
-                                cat @ p.w_v.data) @ p.w_o.data)
-        want = to_maps(np.stack(outs), 2, 2)
-        assert np.max(np.abs(got - want)) <= 1e-10
+        assert np.max(np.abs(got - ref.adjacent_attention(z, p))) <= 1e-10
 
     def test_cyclic_relabelling_equivariance_bitwise(self, rng):
         ring = ViewRing(f=6, W=2, H=2)
@@ -144,51 +119,19 @@ class TestTrajectoryAttention:
         assert np.max(np.abs(got - z)) <= 1e-12
 
     def test_single_view_equals_own_window_attention(self, rng):
-        """f=1 makes all three windows coincide; duplicate keys renormalize."""
+        """f=1 makes all three windows the view's own 3x3 neighbourhood."""
         ring = ViewRing(f=1, W=4, H=4)
         p = random_params(6, 4)
         z = rng.standard_normal((1, 4, 4, 4))
         got = trajectory_attention(LatentStack(Tensor(z), ring), ring, p).data.data
-        tok = to_tokens(z)[0]
-        q = tok @ p.w_q.data
-        k = tok @ p.w_k.data
-        v = tok @ p.w_v.data
-        out = np.empty_like(tok)
-        for y in range(4):
-            for x in range(4):
-                win = trajectory_window(x, y, 0.0, 4, 4)
-                sel = [r * 4 + c for c, r in win]
-                out[y * 4 + x] = np_sdpa(q[y * 4 + x:y * 4 + x + 1],
-                                         k[sel], v[sel]) @ p.w_o.data
-        want = to_maps(out[None], 4, 4)
-        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(got - ref.trajectory_attention(z, p))) <= 1e-12
 
     def test_gather_and_attend_oracle(self, rng):
         ring = ViewRing(f=4, W=8, H=8)
         p = random_params(7, 4)
         z = rng.standard_normal((4, 4, 8, 8))
         got = trajectory_attention(LatentStack(Tensor(z), ring), ring, p).data.data
-
-        toks = to_tokens(z)
-        q = toks @ p.w_q.data
-        k = toks @ p.w_k.data
-        v = toks @ p.w_v.data
-        out = np.empty_like(toks)
-        for i in range(4):
-            for y in range(8):
-                for x in range(8):
-                    ks, vs = [], []
-                    for off in (-1, 0, 1):
-                        j = (i + off) % 4
-                        da = delta_azimuth(ring, i, j) if off else 0.0
-                        for c, r in trajectory_window(x, y, da, 8, 8):
-                            ks.append(k[j, r * 8 + c])
-                            vs.append(v[j, r * 8 + c])
-                    out[i, y * 8 + x] = np_sdpa(
-                        q[i, y * 8 + x][None], np.stack(ks), np.stack(vs)
-                    )[0] @ p.w_o.data
-        want = to_maps(out, 8, 8)
-        assert np.max(np.abs(got - want)) <= 1e-10
+        assert np.max(np.abs(got - ref.trajectory_attention(z, p))) <= 1e-10
 
     def test_cyclic_relabelling_equivariance_bitwise(self, rng):
         ring = ViewRing(f=4, W=4, H=4)
@@ -251,14 +194,9 @@ class TestAirAttention:
         p = random_params(13, 4)
         z = rng.standard_normal((4, 4, 4, 4))
         stack = LatentStack(Tensor(z), ring)
-        got = air_attention(stack, Tensor(np.ones((4, 1, 4, 4))),
-                            AirConfig(1, 1), p).data.data
-        toks = to_tokens(z)
-        kc = (toks @ p.w_k.data).reshape(-1, 4)
-        vc = (toks @ p.w_v.data).reshape(-1, 4)
-        outs = [np_sdpa(toks[i] @ p.w_q.data, kc, vc) @ p.w_o.data
-                for i in range(4)]
-        want = to_maps(np.stack(outs), 4, 4)
+        ones = np.ones((4, 1, 4, 4))
+        got = air_attention(stack, Tensor(ones), AirConfig(1, 1), p).data.data
+        want = ref.air_attention(z, ones, AirConfig(1, 1), p)
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_zero_scores_zero_output(self, rng):
@@ -270,7 +208,6 @@ class TestAirAttention:
         assert np.all(out == 0.0)
 
     def test_step_composition_oracle(self, rng):
-        """scale -> pool -> concat -> sdpa -> project -> upsample, by hand."""
         ring = ViewRing(f=4, W=8, H=8)
         p = random_params(15, 4)
         z = rng.standard_normal((4, 4, 8, 8))
@@ -278,34 +215,7 @@ class TestAirAttention:
         cfg = AirConfig(tau=2, rho=4)
         got = air_attention(LatentStack(Tensor(z), ring), Tensor(scores),
                             cfg, p).data.data
-
-        def pool(m, s):
-            f, c, h, w = m.shape
-            return m.reshape(f, c, h // s, s, w // s, s).mean(axis=(3, 5))
-
-        def project(m, w):
-            return to_maps(to_tokens(m) @ w, m.shape[2], m.shape[3])
-
-        qb = project(z, p.w_q.data)
-        kb = project(z, p.w_k.data)
-        vb = project(z, p.w_v.data)
-        qp = pool(scores * qb, cfg.tau)
-        kp = pool(scores * kb, cfg.rho)
-        vp = pool(scores * vb, cfg.rho)
-        k_all = to_tokens(kp).reshape(-1, 4)
-        v_all = to_tokens(vp).reshape(-1, 4)
-        up_h = np.zeros((8, 4))
-        src = np.clip((np.arange(8) + 0.5) / 2 - 0.5, 0, 3)
-        i0 = np.minimum(np.floor(src).astype(int), 2)
-        up_h[np.arange(8), i0] = 1 - (src - i0)
-        up_h[np.arange(8), i0 + 1] += src - i0
-        outs = []
-        for i in range(4):
-            att = np_sdpa(to_tokens(qp)[i], k_all, v_all) @ p.w_o.data
-            maps = to_maps(att[None], 4, 4)[0]
-            outs.append(np.einsum("Hh,chw,Ww->cHW", up_h, maps, up_h))
-        want = np.stack(outs)
-        assert np.max(np.abs(got - want)) <= 1e-10
+        assert np.max(np.abs(got - ref.air_attention(z, scores, cfg, p))) <= 1e-10
 
     def test_output_shape_for_every_stride_pair(self, rng):
         ring = ViewRing(f=2, W=8, H=8)

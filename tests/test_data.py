@@ -9,10 +9,10 @@ import pytest
 
 from mvring.data import (BACKGROUND, DatasetError, ManifestError, Primitive,
                          SceneSpec, ShapeMismatchError, ground_truth_correspondence,
-                         load_dataset, make_scene, point_depth_px, read_mvt,
-                         render_views, save_dataset, view_basis)
-from mvring.geometry import (ViewRing, delta_azimuth, project_rotated_x,
-                             trajectory_window)
+                         load_dataset, make_scene, read_mvt, render_views,
+                         save_dataset, view_basis)
+from mvring.geometry import ViewRing, delta_azimuth, trajectory_window
+from mvring.reference import point_depth_px, project_rotated_x
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "scene_seed0.json")
 

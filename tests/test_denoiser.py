@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mvring import denoiser as dn
+from mvring import reference as ref
 from mvring.attention import AttentionParams
 from mvring.denoiser import (Adam, CheckpointError, ModelConfig, MvDenoiser,
                              NoiseSchedule, NormParams, ToyTextEncoder,
@@ -214,6 +215,33 @@ class TestDenoise:
             rolled = model.denoise(np.roll(z, -k, axis=0), 321, text8).data
             assert np.allclose(rolled, np.roll(base, -k, axis=0), atol=1e-10)
 
+    def test_matches_the_reference_forward(self, rng):
+        """x + aa(norm x), x + dr(norm x), rg(x) with its residual inside, then
+        x + air(norm x, scores), each operator its reference oracle, between
+        the runtime per-view layers. Every parameter, the head and each w_o
+        included, is jittered off its init, so every branch reaches the
+        output."""
+        model = _jittered(mini_config(f=3), seed=27)
+        blk, t = model.blocks[0], 321
+        z, text = rng.standard_normal((3, 3, 4, 4)), rng.standard_normal(8)
+
+        def norm(x, p):
+            return dn.channel_norm(Tensor(x), p.gain, p.bias)
+
+        x = dn.res_block(dn.conv3x3(Tensor(z), model.stem.w, model.stem.b),
+                         model._embeddings(t), blk.res)
+        x = dn.cross_attention(x, text, None, blk.ca).data
+        x = x + ref.adjacent_attention(norm(x, blk.aa_norm).data, blk.aa)
+        x = x + ref.trajectory_attention(norm(x, blk.dr_norm).data, blk.dr)
+        x = ref.rapid_glance(x, blk.rg, model.config.scan_strategy)
+        nx = norm(x, blk.air_norm)
+        scores = dn.score_map(dn.LatentStack(nx, model.ring), text, blk.smap)
+        x = x + ref.air_attention(nx.data, scores.data, model.air_cfg, blk.air)
+        want = dn.conv3x3(norm(x, model.head_norm).silu(), model.head.w,
+                          model.head.b).data
+        got = model.denoise(z, t, text).data
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
     def test_shape_mismatch_rejected(self, mini_model, text8):
         with pytest.raises(ValueError, match="latent stack"):
             mini_model.denoise(np.zeros((2, 3, 8, 8)), 10, text8)
@@ -322,19 +350,13 @@ def np_cross_attention(x, e, gain, bias, w_q, w_k, w_v, w_o):
     prompt token, plus residual, with an explicit softmax over that key."""
     n, c, h, w = x.shape
     e = e.reshape(-1, e.shape[-1])
-    b = e.shape[0]
     mu = x.mean(axis=1, keepdims=True)
     xn = (x - mu) / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5)
     xn = xn * gain.reshape(1, c, 1, 1) + bias.reshape(1, c, 1, 1)
-    tokens = xn.transpose(0, 2, 3, 1).reshape(b, -1, c)
-    out = np.empty_like(tokens)
-    for r in range(b):
-        k, v = e[r:r + 1] @ w_k, e[r:r + 1] @ w_v                # one key
-        logits = tokens[r] @ w_q @ k.T / np.sqrt(c)             # [L, 1]
-        p = np.exp(logits - logits.max(axis=1, keepdims=True))
-        p /= p.sum(axis=1, keepdims=True)
-        out[r] = (p @ v) @ w_o
-    return x + out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+    tokens = ref.to_tokens(xn).reshape(e.shape[0], -1, c)
+    out = np.stack([ref.sdpa(t @ w_q, k[None] @ w_k, k[None] @ w_v) @ w_o  # one key
+                    for t, k in zip(tokens, e)])
+    return x + ref.to_maps(out.reshape(n, h * w, c), h, w)
 
 
 class TestCrossAttention:
@@ -682,6 +704,30 @@ class TestAdam:
             loss.backward()
             opt.step()
         assert np.max(np.abs(x.data)) < 1e-2
+
+    def test_matches_the_textbook_update(self, rng):
+        """Algorithm 1 of Kingma & Ba (arXiv 1412.6980) over four steps. On
+        step 3 y has no gradient: its value and moments stay as they were,
+        and the step count still advances for the next bias correction."""
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        x = Tensor(rng.standard_normal(3), requires_grad=True)
+        y = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+        opt = Adam([x, y], lr=lr)
+        want = [[p.data.copy(), 0.0, 0.0] for p in (x, y)]      # value, m, v
+        for t in range(1, 5):
+            x.grad = rng.standard_normal(3)
+            y.grad = None if t == 3 else rng.standard_normal((2, 2))
+            before = [y.data.copy(), opt.m[1].copy(), opt.v[1].copy()]
+            opt.step()
+            if y.grad is None:
+                assert all(map(np.array_equal, before, (y.data, opt.m[1], opt.v[1])))
+            for p, w in zip((x, y), want):
+                if p.grad is not None:
+                    w[1] = b1 * w[1] + (1 - b1) * p.grad
+                    w[2] = b2 * w[2] + (1 - b2) * p.grad ** 2
+                    w[0] = w[0] - lr * (w[1] / (1 - b1 ** t)) / (
+                        np.sqrt(w[2] / (1 - b2 ** t)) + eps)
+                assert np.max(np.abs(p.data - w[0])) <= 1e-12 * np.max(np.abs(w[0]))
 
     def test_skips_untouched_params(self):
         x = Tensor(np.array([1.0]), requires_grad=True)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvring.geometry import (ViewRing, delta_azimuth, project_rotated_x,
+from mvring.geometry import (ViewRing, delta_azimuth,
                              project_rotated_x_simplified, round_half_away,
                              trajectory_window)
+from mvring.reference import project_rotated_x
 
 angles = st.floats(min_value=-179.999, max_value=180, allow_nan=False)
 depths = st.floats(min_value=-20, max_value=20, allow_nan=False)

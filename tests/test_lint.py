@@ -5,7 +5,9 @@ no exported name that only tests read, no class member that nothing reads.
 as used when any module of the package reads it, by name, as an attribute or
 through an import. A name in a module's `__all__` counts as reached when
 program code reads it outside its own definition: a package module or one
-of perfbench's scripts.
+of perfbench's scripts. `reference.py` holds the oracles the tests check the
+program against, so only tests read its exports, and no other package
+module may import it.
 """
 
 import ast
@@ -22,10 +24,6 @@ PERFBENCH_TREES = [ast.parse(p.read_text(encoding="utf-8"))
 ALL_TREES = [ast.parse(p.read_text(encoding="utf-8"))
              for d in ("src", "perfbench", "tests")
              for p in sorted((SRC.parents[1] / d).rglob("*.py"))]
-
-# exported references that only tests read, to check runtime code against
-TEST_ONLY = {"data.point_depth_px", "geometry.project_rotated_x",
-             "metrics.read_ppm", "tensor.linear_recurrence"}
 
 
 def exported(tree):
@@ -100,18 +98,24 @@ def read_by_program(module, name):
     return any(name in references(t) for t in trees)
 
 
-@pytest.mark.parametrize("name", sorted(TREES))
+@pytest.mark.parametrize("name", sorted(set(TREES) - {"reference.py"}))
 def test_exported_names_are_read_by_the_program(name):
-    unread = [n for n in sorted(exported(TREES[name]))
-              if f"{name[:-3]}.{n}" not in TEST_ONLY and not read_by_program(name, n)]
+    unread = [n for n in sorted(exported(TREES[name])) if not read_by_program(name, n)]
     assert not unread, f"{name} exports names only tests read: {unread}"
 
 
-def test_test_only_names_are_exported_and_unread():
-    for entry in sorted(TEST_ONLY):
-        stem, n = entry.split(".")
-        assert n in exported(TREES[f"{stem}.py"]), entry
-        assert not read_by_program(f"{stem}.py", n), f"{entry} is read by the program"
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "reference.py"], ids=lambda p: p.name)
+def test_program_modules_do_not_import_the_reference_module(path):
+    imported_paths = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported_paths.add(node.module or "")
+            imported_paths.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported_paths.update(a.name for a in node.names)
+    assert not [p for p in imported_paths if p.split(".")[-1] == "reference"], \
+        f"{path.name} imports the reference module"
 
 
 def test_class_members_are_read():

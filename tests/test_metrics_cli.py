@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from mvring.cli import CSV_HEADER, main, parse_stack
 from mvring.denoiser import pin_malloc_thresholds
 from mvring.data import ground_truth_correspondence
-from mvring.metrics import (adjacent_pairs, consistency_metric, psnr,
-                            read_ppm, write_ppm)
+from mvring.metrics import adjacent_pairs, consistency_metric, psnr, write_ppm
+from mvring.reference import read_ppm
 from mvring.tensor import load_mvt, save_mvt
 
 
@@ -136,12 +136,13 @@ class TestStackParsing:
 def dataset_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("ds")
     assert main(["gen-data", "--out", str(out), "--seed", "0",
-                 "--views", "12", "--res", "32"]) == 0
+                 "--res", "32"]) == 0
     return out
 
 
 class TestCliPipeline:
     def test_gen_data_writes_twelve_views(self, dataset_dir):
+        """dataset_dir passes no --views: 12 is the default."""
         assert sorted(os.listdir(dataset_dir)) == ["depths.mvt", "images.mvt",
                                                    "manifest.json"]
         assert load_mvt(str(dataset_dir / "images.mvt")).shape == (12, 32, 32, 3)
@@ -461,6 +462,23 @@ class TestCliPipeline:
                      str(tmp_path / "s"), "--prompt", "a cube"]) == 3
         assert "scan strategy" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    def test_air_config_that_cannot_run_exits_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        """24 px images give 6x6 latents, which air's strides 2 and 4 do not
+        divide: refused when the configs are built, before the aa stack that
+        precedes aa+air trains a step."""
+        import mvring.denoiser as dn
+        ds = str(tmp_path / "ds")
+        assert main(["gen-data", "--out", ds, "--views", "3", "--res", "24"]) == 0
+        steps = []
+        monkeypatch.setattr(dn, "training_step", lambda *a: steps.append(a))
+        for argv in (["ablate", "--stacks", "aa,aa+air"], ["train", "--stack", "air"]):
+            out = tmp_path / argv[0]
+            assert main(argv + ["--dataset", ds, "--out", str(out)]) == 2
+            assert "strides 2,4 must divide" in capsys.readouterr().err
+            assert not out.exists()
+        assert steps == []
 
     def test_unknown_scan_strategy_flag_is_config_error(self, dataset_dir,
                                                         tmp_path, capsys):

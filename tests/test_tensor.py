@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from mvring.tensor import (MvtError, Tape, Tensor, _sigmoid, avg_pool2d,
                            bilinear_upsample2d, concat, conv3x3, grad_check,
-                           layer_norm, linear_recurrence, load_mvt, matmul,
-                           no_grad, save_mvt, softmax)
+                           layer_norm, load_mvt, matmul, no_grad, save_mvt,
+                           softmax)
+from mvring.reference import linear_recurrence
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
