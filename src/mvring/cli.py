@@ -87,17 +87,16 @@ def _build_config(manifest, args, stack_flags, scan):
     )
 
 
-def _prompt_batch(prompt, text_dim):
+def _prompt_batch(prompt):
     """The prompt's embedding under the sampling template, and the null one."""
-    encoder = dn.ToyTextEncoder(dim=text_dim)
+    encoder = dn.ToyTextEncoder()
     return {"text": encoder.embed_prompt(dn.prompt_template(prompt)),
             "null": encoder.null, "prompt": prompt}
 
 
-def _training_batch(rset, manifest, text_dim):
+def _training_batch(rset, manifest):
     scene = dat.make_scene(manifest["seed"])
-    return {"z0": dn.encode_images(rset.images),
-            **_prompt_batch(scene.prompt, text_dim)}
+    return {"z0": dn.encode_images(rset.images), **_prompt_batch(scene.prompt)}
 
 
 def _seed(text):
@@ -126,7 +125,7 @@ def _parse_entries(flag, text, parse):
 
 
 def _train_one(rset, manifest, args, config, seed):
-    batch = _training_batch(rset, manifest, config.text_dim)
+    batch = _training_batch(rset, manifest)
     model = dn.MvDenoiser(config, seed=seed)
     history = dn.train_loop(batch, model, seed=seed, max_steps=args.steps,
                             stop_loss=args.stop_loss, log_every=args.log_every)
@@ -212,7 +211,7 @@ def cmd_sample(args):
                            f"string: {prompt!r}", EXIT_IO)
     if not prompt:
         raise CliError("checkpoint carries no prompt; pass --prompt", EXIT_CONFIG)
-    batch = _prompt_batch(prompt, model.config.text_dim)
+    batch = _prompt_batch(prompt)
     z = _sample_stack(model, batch, args.steps, args.guidance, args.seed)
     _dump_views(args.out, z, dn.decode_latents(z))
     dat.write_manifest(os.path.join(args.out, "run.json"), {
@@ -371,7 +370,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="checkpoint directory")
     p.add_argument("--stack", default="aa+dr+rg+air")
     p.add_argument("--scan", default="spiral-bidirectional",
-                   choices=SCAN_STRATEGIES)
+                   help="scan strategy: " + ", ".join(SCAN_STRATEGIES))
     _add_train_args(p)
     p.set_defaults(fn=cmd_train)
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 import os
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import ViewRing
+from .geometry import ViewRing, is_int
 from .tensor import MvtError, load_mvt, save_mvt
 
 __all__ = [
@@ -123,9 +122,6 @@ class RenderedSet:
         if self.images.shape[0] != self.ring.f:
             raise ShapeMismatchError(
                 f"{self.images.shape[0]} images for a ring of f={self.ring.f}")
-
-    def foreground(self, i):
-        return np.isfinite(self.depths[i])
 
 
 def view_basis(azimuth_deg, elevation_deg=0.0):
@@ -287,31 +283,6 @@ def read_mvt(path, error):
         raise error(str(exc)) from exc
 
 
-def is_int(v):
-    """An integer, Python or numpy, and not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def is_finite_number(v):
-    """An integer or a float that converts to a finite float."""
-    return (is_int(v) or isinstance(v, (float, np.floating))) \
-        and abs(v) <= sys.float_info.max
-
-
-def _check_fields(manifest):
-    """Raise ManifestError naming every field of the wrong JSON type."""
-    wrong = [k for k in ("f", "W", "H") if not is_int(manifest[k])]
-    if not (is_int(manifest["seed"]) and manifest["seed"] >= 0):
-        wrong.append("seed")
-    wrong += [k for k in ("elevation_deg", "distance")
-              if not is_finite_number(manifest[k])]
-    if wrong:
-        raise ManifestError(
-            "manifest fields of the wrong type: " + ", ".join(wrong) + " (want "
-            "integers f, W and H, a seed >= 0 and finite numbers elevation_deg "
-            "and distance)")
-
-
 def load_dataset(path):
     """Read a dataset directory back; returns (RenderedSet, manifest dict)."""
     manifest = read_manifest(os.path.join(path, MANIFEST_NAME), ManifestError)
@@ -319,18 +290,18 @@ def load_dataset(path):
     if not is_int(version) or version != MANIFEST_VERSION:
         raise ManifestError(f"manifest version {version!r} "
                             f"unsupported (want {MANIFEST_VERSION})")
-    for key in ("f", "W", "H", "elevation_deg", "distance", "seed"):
-        if key not in manifest:
-            raise ManifestError(f"manifest missing field {key!r}")
-    _check_fields(manifest)
-    f, W, H = manifest["f"], manifest["W"], manifest["H"]
+    seed = manifest.get("seed")
+    if not (is_int(seed) and seed >= 0):
+        raise ManifestError(f"manifest seed must be an integer >= 0, got {seed!r}")
     try:
-        ring = ViewRing(f=f, elevation_deg=manifest["elevation_deg"],
-                        distance=manifest["distance"], W=W, H=H)
+        ring = ViewRing(**{fld.name: manifest[fld.name] for fld in fields(ViewRing)})
+    except KeyError as exc:
+        raise ManifestError(f"manifest missing field {exc}") from exc
     except ValueError as exc:
         raise ManifestError(f"manifest does not describe a ring: {exc}") from exc
+    views = (ring.f, ring.H, ring.W)
     arrays = []
-    for name, shape in ((IMAGES_NAME, (f, H, W, 3)), (DEPTHS_NAME, (f, H, W))):
+    for name, shape in ((IMAGES_NAME, (*views, 3)), (DEPTHS_NAME, views)):
         apath = os.path.join(path, name)
         arr = read_mvt(apath, DatasetError)
         if arr.shape != shape:

@@ -18,16 +18,15 @@ import hashlib
 import math
 import os
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .attention import (AirConfig, AttentionParams, Mlp2, ScoreMapper,
                         adjacent_attention, air_attention, score_map,
                         trajectory_attention)
-from .data import (is_finite_number, is_int, read_manifest, read_mvt,
-                   write_manifest)
-from .geometry import LatentStack, ViewRing
+from .data import read_manifest, read_mvt, write_manifest
+from .geometry import LatentStack, ViewRing, check_fields
 from .scan import SCAN_STRATEGIES, SsmParams, rapid_glance
 from .tensor import (Tape, Tensor, bilinear_upsample2d, concat, conv3x3,
                      layer_norm, matmul, no_grad, save_mvt)
@@ -61,6 +60,8 @@ LATENT_CHANNELS = 3
 LATENT_FACTOR = 4
 OPERATOR_OUT_SCALE = 0.15
 N_FREQ = 4                      # harmonics in the camera and timestep features
+TEXT_DIM = 16                   # width of the text encoder's prompt embedding
+D_STATE = 4                     # state size of rg's selective scan
 
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3     # mallopt parameters, glibc malloc.h
 MMAP_THRESHOLD = 32 * 1024 * 1024               # the most glibc raises it to on 64-bit
@@ -148,15 +149,16 @@ class ToyTextEncoder:
     """Deterministic stand-in for a frozen text encoder.
 
     Tokens hash into a fixed seeded embedding table and mean-pool into one
-    prompt vector; a reserved null vector serves the unconditional branch.
+    TEXT_DIM-wide prompt vector; a reserved null vector serves the
+    unconditional branch.
     """
 
     VOCAB = 4096
 
-    def __init__(self, dim=16):
+    def __init__(self):
         rng = np.random.default_rng(0x7E57)
-        self.table = rng.standard_normal((self.VOCAB, dim)) / math.sqrt(dim)
-        self.null = rng.standard_normal(dim) / math.sqrt(dim)
+        self.table = rng.standard_normal((self.VOCAB, TEXT_DIM)) / math.sqrt(TEXT_DIM)
+        self.null = rng.standard_normal(TEXT_DIM) / math.sqrt(TEXT_DIM)
 
     @staticmethod
     def tokenize(text):
@@ -216,8 +218,6 @@ class ModelConfig:
     latent_w: int = 8
     channels: int = 16
     blocks: int = 1
-    text_dim: int = 16
-    d_state: int = 4
     enable_aa: bool = True
     enable_dr: bool = True
     enable_rg: bool = True
@@ -228,18 +228,12 @@ class ModelConfig:
     lr: float = 2e-3
 
     def __post_init__(self):
-        for fld in fields(self):
-            v = getattr(self, fld.name)
-            if fld.type == "int" and not (is_int(v) and v >= 1):
-                raise ValueError(f"{fld.name} must be >= 1 and integral, got {v!r}")
-            if fld.type == "float" and not is_finite_number(v):
-                raise ValueError(f"{fld.name} must be a finite number, got {v!r}")
-            if fld.type == "bool" and not isinstance(v, (bool, np.bool_)):
-                raise ValueError(f"{fld.name} must be true or false, got {v!r}")
+        check_fields(self)
         if not self.lr > 0.0:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.scan_strategy not in SCAN_STRATEGIES:
-            raise ValueError(f"unknown scan strategy {self.scan_strategy!r}")
+            raise ValueError(f"unknown scan strategy {self.scan_strategy!r}; "
+                             f"choose one of {', '.join(SCAN_STRATEGIES)}")
         air = AirConfig()
         if self.enable_air and any(d % s for d in (self.latent_h, self.latent_w)
                                    for s in (air.tau, air.rho)):
@@ -354,13 +348,13 @@ class TextShiftParams:
 def cross_attention(x, text_emb, norm, params):
     """Attention of each view onto its ring's prompt token, plus residual.
 
-    `x` is [B*f, C, H, W]; `text_emb` is one embedding [text_dim], or one per
-    ring [B, text_dim]. The encoder pools a prompt into one token, and with
+    `x` is [B*f, C, H, W]; `text_emb` is one embedding [TEXT_DIM], or one per
+    ring [B, TEXT_DIM]. The encoder pools a prompt into one token, and with
     one key the softmax weight is exactly 1, so this is x + (e_r @ w_v) @ w_o
     for ring r. `norm`, `params.w_q` and `params.w_k` are never read.
     """
     e = np.asarray(text_emb)
-    e = Tensor(e.reshape(-1, e.shape[-1]))                    # [B, text_dim]
+    e = Tensor(e.reshape(-1, e.shape[-1]))                    # [B, TEXT_DIM]
     shift = matmul(matmul(e, params.w_v), params.w_o)         # [B, C]
     b, c = shift.shape
     rings = x.reshape(b, -1, *x.shape[1:]) + shift.reshape(b, 1, c, 1, 1)
@@ -408,8 +402,8 @@ class MvDenoiser:
             pre = f"block{b}"
             blk = BlockParams(
                 res=ResBlockParams.init(t, f"{pre}.res", c),
-                ca=TextShiftParams(t.normal(f"{pre}.ca.w_v", (config.text_dim, c),
-                                            1.0 / math.sqrt(config.text_dim)),
+                ca=TextShiftParams(t.normal(f"{pre}.ca.w_v", (TEXT_DIM, c),
+                                            1.0 / math.sqrt(TEXT_DIM)),
                                    t.zeros(f"{pre}.ca.w_o", (c, c))),
             )
             if config.enable_aa:
@@ -421,13 +415,12 @@ class MvDenoiser:
                 blk.dr = AttentionParams.init(t, f"{pre}.dr", c, out_scale=oscale,
                                               seed=attn_seed + b)
             if config.enable_rg:
-                blk.rg = SsmParams.init(t, f"{pre}.rg", c, config.d_state,
-                                        out_scale=oscale)
+                blk.rg = SsmParams.init(t, f"{pre}.rg", c, D_STATE, out_scale=oscale)
             if config.enable_air:
                 blk.air_norm = NormParams.init(t, f"{pre}.air_norm", c)
                 blk.air = AttentionParams.init(t, f"{pre}.air", c, out_scale=oscale,
                                                seed=attn_seed + b)
-                blk.smap = ScoreMapper.init(t, f"{pre}.smap", c, config.text_dim)
+                blk.smap = ScoreMapper.init(t, f"{pre}.smap", c, TEXT_DIM)
             self.blocks.append(blk)
         self.head_norm = NormParams.init(t, "head_norm", c)
         self.head = ConvParams.init(t, "head", c, LATENT_CHANNELS, zero=True)
@@ -450,9 +443,9 @@ class MvDenoiser:
     def denoise(self, z_t, t, text_emb, mode_2d=False):
         """Predict the injected noise for one ring of latents at step t.
 
-        z_t is the ring [f, 3, H, W]. text_emb is one embedding [text_dim],
+        z_t is the ring [f, 3, H, W]. text_emb is one embedding [TEXT_DIM],
         and the output has the shape of z_t; or it is B embeddings
-        [B, text_dim], and the ring is denoised under each prompt into
+        [B, TEXT_DIM], and the ring is denoised under each prompt into
         [B, f, 3, H, W]. The prompt-free trunk (stem conv, block 0's res
         block) runs once, and its output is repeated into B rings just
         before the first text shift. mode_2d bypasses every cross-view
@@ -467,7 +460,7 @@ class MvDenoiser:
         e = np.asarray(text_emb)
         if e.ndim not in (1, 2):
             raise ValueError(f"text embedding shape {e.shape} is neither "
-                             f"[text_dim] nor [B, text_dim]")
+                             f"[TEXT_DIM] nor [B, TEXT_DIM]")
         b = e.shape[0] if e.ndim == 2 else 1
         emb = self._embeddings(t)                                 # [f, C]
         x = conv3x3(x, self.stem.w, self.stem.b)
@@ -647,18 +640,18 @@ def ddim_sample(model: MvDenoiser, text_emb, null_emb, steps=50, guidance=7.5,
 def gradcheck_loss(seed=0):
     """The miniature model's eps-prediction loss at t=321, for grad_check.
 
-    Builds a 2-view, 4x4-latent, 8-channel denoiser with every cross-view
-    operator and one seeded noised batch. Returns (loss, params): calling
+    Builds a 2-view, 4x4-latent, 8-channel, 1-block denoiser with every
+    cross-view operator, the fixed TEXT_DIM = 16 prompt width and D_STATE = 4
+    scan state, and one seeded noised batch. Returns (loss, params): calling
     `loss()` runs a fresh forward pass and returns the scalar MSE.
     """
-    config = ModelConfig(f=2, latent_h=4, latent_w=4, channels=8, blocks=1,
-                         text_dim=8, d_state=2)
+    config = ModelConfig(f=2, latent_h=4, latent_w=4, channels=8, blocks=1)
     model = MvDenoiser(config, seed=seed)
     rng = np.random.default_rng(seed)
     z0 = rng.standard_normal((config.f, LATENT_CHANNELS, config.latent_h,
                               config.latent_w)) * 0.5
     eps = rng.standard_normal(z0.shape)
-    text = ToyTextEncoder(dim=config.text_dim).embed_prompt("a checker cube")
+    text = ToyTextEncoder().embed_prompt("a checker cube")
     t = 321
     z_t = add_noise(z0, t, eps, model.sched)
     target = Tensor(eps)

@@ -9,11 +9,16 @@ term and a 3x3 search window absorbs the residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .tensor import Tensor
 
 __all__ = [
+    "is_int",
+    "check_fields",
     "ViewRing",
     "LatentStack",
     "delta_azimuth",
@@ -21,6 +26,32 @@ __all__ = [
     "trajectory_window",
     "round_half_away",
 ]
+
+
+def is_int(v):
+    """An integer, Python or numpy, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def is_finite_number(v):
+    """An integer or a float that converts to a finite float."""
+    return (is_int(v) or isinstance(v, (float, np.floating))) \
+        and abs(v) <= sys.float_info.max
+
+
+def check_fields(record):
+    """Raise ValueError naming the first field of the dataclass `record` that
+    breaks the rule for its annotated type: an int must be an integer >= 1,
+    a float a finite number, and a bool a bool. Other fields are the
+    record's own to check."""
+    for fld in fields(record):
+        v = getattr(record, fld.name)
+        if fld.type == "int" and not (is_int(v) and v >= 1):
+            raise ValueError(f"{fld.name} must be >= 1 and integral, got {v!r}")
+        if fld.type == "float" and not is_finite_number(v):
+            raise ValueError(f"{fld.name} must be a finite number, got {v!r}")
+        if fld.type == "bool" and not isinstance(v, (bool, np.bool_)):
+            raise ValueError(f"{fld.name} must be true or false, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -34,10 +65,7 @@ class ViewRing:
     H: int = 32
 
     def __post_init__(self):
-        if self.f < 1:
-            raise ValueError(f"view count must be >= 1, got {self.f}")
-        if self.W < 1 or self.H < 1:
-            raise ValueError("image extents must be >= 1")
+        check_fields(self)
 
     def azimuth_deg(self, i):
         if not 0 <= i < self.f:

@@ -133,10 +133,6 @@ class SsmParams:
     def d_state(self):
         return self.a_log.shape[1]
 
-    def tensors(self):
-        return [self.a_log, self.w_delta, self.b_delta,
-                self.w_b, self.b_b, self.w_c, self.b_c]
-
     @classmethod
     def init(cls, tape, prefix, d_model, d_state, *, out_scale):
         """Stable default init: A = -(1..N), delta ~ softplus(0) per token.
@@ -170,25 +166,26 @@ def discretize_zoh(a_diag, b, delta):
 
 
 def selective_scan_sequential(x, params: SsmParams):
-    """Reference scan: strictly left-to-right token recurrence, no tape.
+    """Reference scan: strictly left-to-right token recurrence over the array
+    x [L, D], no tape; returns the array y [L, D].
 
     h_t = exp(delta_t * A) h_{t-1} + (delta_t * x_t) B_t, y_t = h_t C_t.
     """
-    x_np = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    L, D = x_np.shape
+    x = np.asarray(x, dtype=np.float64)
+    L, D = x.shape
     N = params.d_state
     a = -np.exp(params.a_log.data)
-    y = np.empty_like(x_np)
-    h = np.zeros((D, N), dtype=x_np.dtype)
+    y = np.empty_like(x)
+    h = np.zeros((D, N))
     for t in range(L):
-        xt = x_np[t]
+        xt = x[t]
         delta_t = np.logaddexp(0.0, xt @ params.w_delta.data + params.b_delta.data)
         b_t = xt @ params.w_b.data + params.b_b.data
         c_t = xt @ params.w_c.data + params.b_c.data
         abar, bbar = discretize_zoh(a, b_t[None, :], delta_t[:, None])
         h = abar * h + bbar * xt[:, None]
         y[t] = h @ c_t
-    return Tensor(y) if isinstance(x, Tensor) else y
+    return y
 
 
 def selective_scan(x: Tensor, params: SsmParams):

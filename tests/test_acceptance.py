@@ -41,7 +41,7 @@ def test_criterion_1_scan_oracle_equivalence():
         L = int(rng.integers(1, 1025))
         x = Tensor(rng.standard_normal((L, 8)))
         got = selective_scan(x, params).data
-        want = selective_scan_sequential(x, params).data
+        want = selective_scan_sequential(x.data, params)
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - t0
     report(1, "scan oracle equivalence",
@@ -165,10 +165,9 @@ def test_criterion_6_diffusion_identities():
         rec = dn.ddim_step(zt, t, 0, eps, sched)
         ddim_err = max(ddim_err, float(np.max(np.abs(rec - z0))))
 
-    config = dn.ModelConfig(f=2, latent_h=4, latent_w=4, channels=8, blocks=1,
-                            text_dim=8, d_state=2)
+    config = dn.ModelConfig(f=2, latent_h=4, latent_w=4, channels=8, blocks=1)
     model = dn.MvDenoiser(config, seed=0)
-    text = dn.ToyTextEncoder(dim=8).embed_prompt("a cube")
+    text = dn.ToyTextEncoder().embed_prompt("a cube")
     batch = {"z0": z0, "text": text, "null": np.zeros_like(text)}
     probe = np.random.default_rng(99)
     int(probe.integers(1, sched.T + 1))

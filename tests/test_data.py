@@ -47,7 +47,7 @@ class TestRenderer:
         # paint the primitive with the background colour via a copied palette
         ring = ViewRing(f=4, W=16, H=16)
         rset = render_views(scene, ring)
-        bg = ~rset.foreground(0)
+        bg = ~np.isfinite(rset.depths[0])
         assert np.all(rset.images[0][bg] == np.asarray(BACKGROUND))
 
     def test_rendering_bitwise_deterministic(self, scene0, ring32):
@@ -60,9 +60,9 @@ class TestRenderer:
         scene = SceneSpec(seed=-2, primitives=(
             Primitive("sphere", (0.0, 0.0, 0.0), (0.3, 0.3, 0.3), "cyan"),))
         rset = render_views(scene, ViewRing(f=12, W=32, H=32))
-        sil0 = rset.foreground(0)
+        sil0 = np.isfinite(rset.depths[0])
         for i in range(1, 12):
-            assert np.array_equal(rset.foreground(i), sil0)
+            assert np.array_equal(np.isfinite(rset.depths[i]), sil0)
 
     def test_offset_box_orbit_matches_analytic_column(self):
         centre = (0.3, 0.0, 0.1)
@@ -72,7 +72,7 @@ class TestRenderer:
         rset = render_views(scene, ring)
         ppw = ring.W / 2.0
         for i in range(12):
-            fg = rset.foreground(i)
+            fg = np.isfinite(rset.depths[i])
             assert fg.any()
             cols = np.nonzero(fg)[1]
             centroid = cols.mean() + 0.5
@@ -84,7 +84,7 @@ class TestRenderer:
 class TestCorrespondence:
     def test_identity_on_foreground(self, rset0):
         corr = ground_truth_correspondence(rset0, 2, 2)
-        ys, xs = np.nonzero(rset0.foreground(2))
+        ys, xs = np.nonzero(np.isfinite(rset0.depths[2]))
         assert np.all(corr.valid[ys, xs])
         assert np.all(corr.cols[ys, xs] == xs)
         assert np.all(corr.rows[ys, xs] == ys)
@@ -164,7 +164,7 @@ class TestCorrespondence:
         # at azimuth 90 the camera looks along -z; the face at z=0 is the
         # rotation-axis plane, so its depth must be exactly 0
         i = 1
-        fg = rset.foreground(i)
+        fg = np.isfinite(rset.depths[i])
         assert fg.any()
         assert np.max(np.abs(rset.depths[i][fg])) <= 1e-9
 

@@ -25,8 +25,7 @@ from mvring.tensor import (Tape, Tensor, bilinear_upsample2d, grad_check,
 
 
 def mini_config(**over):
-    base = dict(f=2, latent_h=4, latent_w=4, channels=8, blocks=1,
-                text_dim=8, d_state=2)
+    base = dict(f=2, latent_h=4, latent_w=4, channels=8, blocks=1)
     base.update(over)
     return ModelConfig(**base)
 
@@ -37,8 +36,8 @@ def mini_model():
 
 
 @pytest.fixture(scope="module")
-def text8():
-    return ToyTextEncoder(dim=8).embed_prompt(prompt_template("a test cube"))
+def prompt_emb():
+    return ToyTextEncoder().embed_prompt(prompt_template("a test cube"))
 
 
 class TestSchedule:
@@ -170,49 +169,49 @@ class TestLatentCodec:
 
 
 class TestDenoise:
-    def test_fresh_model_predicts_zero(self, mini_model, text8, rng):
+    def test_fresh_model_predicts_zero(self, mini_model, prompt_emb, rng):
         z = rng.standard_normal((2, 3, 4, 4))
-        out = mini_model.denoise(z, 500, text8).data
+        out = mini_model.denoise(z, 500, prompt_emb).data
         assert np.all(out == 0.0)  # zero-initialised head
 
-    def test_mode_2d_ignores_other_views(self, text8, rng):
+    def test_mode_2d_ignores_other_views(self, prompt_emb, rng):
         model = MvDenoiser(mini_config(), seed=3)
-        _overfit_briefly(model, text8, steps=5)
+        _overfit_briefly(model, prompt_emb, steps=5)
         z = rng.standard_normal((2, 3, 4, 4))
-        a = model.denoise(z, 400, text8, mode_2d=True).data
+        a = model.denoise(z, 400, prompt_emb, mode_2d=True).data
         z2 = z.copy()
         z2[1] += 3.0
-        b = model.denoise(z2, 400, text8, mode_2d=True).data
+        b = model.denoise(z2, 400, prompt_emb, mode_2d=True).data
         assert np.array_equal(a[0], b[0])
         assert not np.array_equal(a[1], b[1])
 
-    def test_mode_2d_is_a_per_view_function(self, text8, rng):
+    def test_mode_2d_is_a_per_view_function(self, prompt_emb, rng):
         """Slot v's output depends on slot v's content and camera only."""
         model = MvDenoiser(mini_config(), seed=4)
-        _overfit_briefly(model, text8, steps=5)
+        _overfit_briefly(model, prompt_emb, steps=5)
         z = rng.standard_normal((2, 3, 4, 4))
-        base = model.denoise(z, 250, text8, mode_2d=True).data
+        base = model.denoise(z, 250, prompt_emb, mode_2d=True).data
         for v in range(2):
             clone = np.repeat(z[v:v + 1], 2, axis=0)  # both slots hold view v
-            out = model.denoise(clone, 250, text8, mode_2d=True).data
+            out = model.denoise(clone, 250, prompt_emb, mode_2d=True).data
             assert np.array_equal(out[v], base[v])
 
-    def test_bitwise_reproducible(self, mini_model, text8, rng):
+    def test_bitwise_reproducible(self, mini_model, prompt_emb, rng):
         z = rng.standard_normal((2, 3, 4, 4))
-        a = mini_model.denoise(z, 123, text8).data
-        b = mini_model.denoise(z, 123, text8).data
+        a = mini_model.denoise(z, 123, prompt_emb).data
+        b = mini_model.denoise(z, 123, prompt_emb).data
         assert np.array_equal(a, b)
 
-    def test_ring_equivariance_without_scan(self, text8, rng):
+    def test_ring_equivariance_without_scan(self, prompt_emb, rng):
         config = mini_config(f=4, enable_rg=False)
         model = MvDenoiser(config, seed=5)
-        _overfit_briefly(model, text8, steps=5, f=4)
+        _overfit_briefly(model, prompt_emb, steps=5, f=4)
         z = rng.standard_normal((4, 3, 4, 4))
-        base = model.denoise(z, 321, text8).data
+        base = model.denoise(z, 321, prompt_emb).data
         feats = model.cam_feats
         for k in (1, 2):
             model.cam_feats = np.roll(feats, -k, axis=0)  # slot v sees camera v+k
-            rolled = model.denoise(np.roll(z, -k, axis=0), 321, text8).data
+            rolled = model.denoise(np.roll(z, -k, axis=0), 321, prompt_emb).data
             assert np.allclose(rolled, np.roll(base, -k, axis=0), atol=1e-10)
 
     def test_matches_the_reference_forward(self, rng):
@@ -223,7 +222,7 @@ class TestDenoise:
         output."""
         model = _jittered(mini_config(f=3), seed=27)
         blk, t = model.blocks[0], 321
-        z, text = rng.standard_normal((3, 3, 4, 4)), rng.standard_normal(8)
+        z, text = rng.standard_normal((3, 3, 4, 4)), rng.standard_normal(dn.TEXT_DIM)
 
         def norm(x, p):
             return dn.channel_norm(Tensor(x), p.gain, p.bias)
@@ -242,9 +241,9 @@ class TestDenoise:
         got = model.denoise(z, t, text).data
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-    def test_shape_mismatch_rejected(self, mini_model, text8):
+    def test_shape_mismatch_rejected(self, mini_model, prompt_emb):
         with pytest.raises(ValueError, match="latent stack"):
-            mini_model.denoise(np.zeros((2, 3, 8, 8)), 10, text8)
+            mini_model.denoise(np.zeros((2, 3, 8, 8)), 10, prompt_emb)
 
     def test_unknown_scan_strategy_rejected(self):
         with pytest.raises(ValueError, match="scan strategy"):
@@ -273,14 +272,14 @@ def _graph_nodes(out):
 
 
 class TestBatchedDenoise:
-    def test_embedding_must_fit_the_batch(self, mini_model, text8):
+    def test_embedding_must_fit_the_batch(self, mini_model, prompt_emb):
         z = np.zeros((2, 3, 4, 4))
         with pytest.raises(ValueError, match="text embedding"):
-            mini_model.denoise(z, 10, np.stack([text8] * 2)[None])
+            mini_model.denoise(z, 10, np.stack([prompt_emb] * 2)[None])
         with pytest.raises(ValueError, match="text embedding"):
             mini_model.denoise(z, 10, np.float64(1.0))
         # the ring is the one latent input; a stack of rings is not
-        for emb in (text8, np.stack([text8] * 2), np.stack([text8] * 3)):
+        for emb in (prompt_emb, np.stack([prompt_emb] * 2), np.stack([prompt_emb] * 3)):
             with pytest.raises(ValueError, match="latent stack"):
                 mini_model.denoise(np.stack([z, z]), 10, emb)
 
@@ -295,7 +294,7 @@ class TestBatchedDenoise:
         """Prompt b's slice is the ring denoised under prompt b alone."""
         model = _jittered(mini_config(f=3, **over), seed=25)
         z = rng.standard_normal((3, 3, 4, 4))
-        emb = rng.standard_normal((3, 8))
+        emb = rng.standard_normal((3, dn.TEXT_DIM))
         shared = model.denoise(z, 321, emb, **kw).data
         assert shared.shape == (3, 3, 3, 4, 4)
         assert np.max(np.abs(shared[0] - shared[1])) > 1e-3
@@ -308,7 +307,7 @@ class TestBatchedDenoise:
         of the single-prompt calls."""
         model = _jittered(mini_config(f=3, blocks=2), seed=26)
         z = rng.standard_normal((3, 3, 4, 4))
-        emb = rng.standard_normal((2, 8))
+        emb = rng.standard_normal((2, dn.TEXT_DIM))
         w = rng.standard_normal((2, 3, 3, 4, 4))
 
         def grads(e, w_out):
@@ -322,21 +321,21 @@ class TestBatchedDenoise:
             want = g0 + g1
             assert np.max(np.abs(a - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_no_grad_builds_no_graph(self, text8, rng):
+    def test_no_grad_builds_no_graph(self, prompt_emb, rng):
         model = _jittered(mini_config(), seed=22)
         z = rng.standard_normal((2, 3, 4, 4))
-        assert _graph_nodes(model.denoise(z, 100, text8)) > 0
+        assert _graph_nodes(model.denoise(z, 100, prompt_emb)) > 0
         with no_grad():
-            out = model.denoise(z, 100, text8)
+            out = model.denoise(z, 100, prompt_emb)
         assert _graph_nodes(out) == 0 and not out.requires_grad
 
-    def test_graph_freed_by_refcount(self, text8, rng):
+    def test_graph_freed_by_refcount(self, prompt_emb, rng):
         model = _jittered(mini_config(), seed=23)
         z = Tensor(rng.standard_normal((2, 3, 4, 4)))
         eps = Tensor(rng.standard_normal((2, 3, 4, 4)))
 
         def step():
-            diff = model.denoise(z, 200, text8) - eps
+            diff = model.denoise(z, 200, prompt_emb) - eps
             (diff * diff).mean().backward()
 
         step()  # fills the lazy per-shape caches
@@ -360,7 +359,7 @@ def np_cross_attention(x, e, gain, bias, w_q, w_k, w_v, w_o):
 
 
 class TestCrossAttention:
-    C, D = 8, 6
+    C, D = 8, dn.TEXT_DIM
 
     def _perfbench_args(self, seed):
         """A NormParams and a full AttentionParams, as the layer harness passes."""
@@ -375,7 +374,7 @@ class TestCrossAttention:
 
     def _model_args(self, seed):
         """The model's block parameters: no norm, only w_v and w_o."""
-        model = MvDenoiser(mini_config(channels=self.C, text_dim=self.D),
+        model = MvDenoiser(mini_config(channels=self.C),
                            seed=seed)
         ca = model.blocks[0].ca
         rng = np.random.default_rng(seed)
@@ -468,11 +467,11 @@ def test_train_loop_keeps_its_arrays_on_the_heap():
 
 
 class TestTrainingStep:
-    def test_oracle_model_gives_zero_loss(self, text8):
+    def test_oracle_model_gives_zero_loss(self, prompt_emb):
         model = MvDenoiser(mini_config(), seed=6)
         sched = model.sched
         z0 = np.random.default_rng(1).standard_normal((2, 3, 4, 4))
-        batch = {"z0": z0, "text": text8, "null": np.zeros_like(text8)}
+        batch = {"z0": z0, "text": prompt_emb, "null": np.zeros_like(prompt_emb)}
         probe = np.random.default_rng(42)
         t = int(probe.integers(1, sched.T + 1))
         eps = probe.standard_normal(z0.shape)
@@ -480,27 +479,27 @@ class TestTrainingStep:
         loss = training_step(batch, model, sched, np.random.default_rng(42))
         assert loss == 0.0
 
-    def test_zero_model_loss_near_one(self, text8):
+    def test_zero_model_loss_near_one(self, prompt_emb):
         model = MvDenoiser(mini_config(), seed=7)  # head starts at zero
         z0 = np.random.default_rng(2).standard_normal((2, 3, 4, 4))
-        batch = {"z0": z0, "text": text8, "null": np.zeros_like(text8)}
+        batch = {"z0": z0, "text": prompt_emb, "null": np.zeros_like(prompt_emb)}
         losses = [training_step(batch, model, model.sched,
                                 np.random.default_rng(s)) for s in range(20)]
         assert abs(np.mean(losses) - 1.0) < 0.15
 
-    def test_nonfinite_loss_aborts(self, text8):
+    def test_nonfinite_loss_aborts(self, prompt_emb):
         model = MvDenoiser(mini_config(), seed=8)
         z0 = np.full((2, 3, 4, 4), np.nan)
-        batch = {"z0": z0, "text": text8, "null": np.zeros_like(text8)}
+        batch = {"z0": z0, "text": prompt_emb, "null": np.zeros_like(prompt_emb)}
         with np.errstate(invalid="ignore"), pytest.raises(TrainingDiverged):
             training_step(batch, model, model.sched, np.random.default_rng(0))
 
     @pytest.mark.parametrize("kw", [{"max_steps": 0}, {"log_every": 0},
                                     {"log_every": -1}])
-    def test_train_loop_rejects_nonpositive_counts(self, kw, text8):
+    def test_train_loop_rejects_nonpositive_counts(self, kw, prompt_emb):
         model = MvDenoiser(mini_config(), seed=9)
         z0 = np.zeros((2, 3, 4, 4))
-        batch = {"z0": z0, "text": text8, "null": np.zeros_like(text8)}
+        batch = {"z0": z0, "text": prompt_emb, "null": np.zeros_like(prompt_emb)}
         before = [p.data.copy() for p in model.params()]
         with pytest.raises(ValueError, match="max_steps and log_every"):
             train_loop(batch, model, seed=0, **kw)
@@ -509,10 +508,10 @@ class TestTrainingStep:
 
     @pytest.mark.parametrize("log_every,logged", [
         (25, [25, 50]), (7, [7, 14, 21, 28, 35, 42, 49, 50])])
-    def test_early_stop_step_is_logged_once(self, text8, log_every, logged):
+    def test_early_stop_step_is_logged_once(self, prompt_emb, log_every, logged):
         model = MvDenoiser(mini_config(), seed=9)
         z0 = np.random.default_rng(3).standard_normal((2, 3, 4, 4)) * 0.3
-        batch = {"z0": z0, "text": text8, "null": np.zeros_like(text8)}
+        batch = {"z0": z0, "text": prompt_emb, "null": np.zeros_like(prompt_emb)}
         calls = []
         # the 50-step average is far below 1e9 as soon as the window fills
         hist = train_loop(batch, model, seed=0, max_steps=200, stop_loss=1e9,
@@ -521,20 +520,20 @@ class TestTrainingStep:
         assert [row[0] for row in hist] == logged
         assert calls == hist
 
-    def test_loss_decreases_on_tiny_overfit(self, text8):
+    def test_loss_decreases_on_tiny_overfit(self, prompt_emb):
         model = MvDenoiser(mini_config(), seed=9)
         rng = np.random.default_rng(3)
         z0 = rng.standard_normal((2, 3, 4, 4)) * 0.3
-        batch = {"z0": z0, "text": text8, "null": np.zeros_like(text8)}
+        batch = {"z0": z0, "text": prompt_emb, "null": np.zeros_like(prompt_emb)}
         hist = train_loop(batch, model, seed=0, max_steps=300, log_every=50)
         assert hist[-1][2] < hist[0][2]
 
-    def test_draw_order_reproducible(self, text8):
+    def test_draw_order_reproducible(self, prompt_emb):
         losses = []
         for _ in range(2):
             model = MvDenoiser(mini_config(), seed=10)
             z0 = np.random.default_rng(4).standard_normal((2, 3, 4, 4))
-            batch = {"z0": z0, "text": text8, "null": np.zeros_like(text8)}
+            batch = {"z0": z0, "text": prompt_emb, "null": np.zeros_like(prompt_emb)}
             losses.append([training_step(batch, model, model.sched,
                                          np.random.default_rng(11))
                            for _ in range(4)])
@@ -548,21 +547,21 @@ class TestDdim:
         assert np.all(np.diff(ts) < 0)
         assert len(ts) == 51
 
-    def test_guidance_one_skips_unconditional(self, text8, rng):
+    def test_guidance_one_skips_unconditional(self, prompt_emb, rng):
         model = MvDenoiser(mini_config(), seed=11)
         calls = []
         orig = model.denoise
 
         def spy(z, t, emb, **kw):
-            calls.append(np.array_equal(np.asarray(emb), text8))
+            calls.append(np.array_equal(np.asarray(emb), prompt_emb))
             return orig(z, t, emb, **kw)
 
         model.denoise = spy
-        ddim_sample(model, text8, np.zeros_like(text8), steps=3, guidance=1.0,
+        ddim_sample(model, prompt_emb, np.zeros_like(prompt_emb), steps=3, guidance=1.0,
                     seed=0)
         assert all(calls) and len(calls) == 3
 
-    def test_guided_step_runs_the_trunk_on_one_ring(self, text8, monkeypatch):
+    def test_guided_step_runs_the_trunk_on_one_ring(self, prompt_emb, monkeypatch):
         model = MvDenoiser(mini_config(f=3), seed=14)
         views = []
         real = dn.res_block
@@ -572,13 +571,13 @@ class TestDdim:
             return real(x, emb, p)
 
         monkeypatch.setattr(dn, "res_block", spy)
-        ddim_sample(model, text8, np.zeros_like(text8), steps=3, guidance=7.5,
+        ddim_sample(model, prompt_emb, np.zeros_like(prompt_emb), steps=3, guidance=7.5,
                     seed=0)
         assert views == [3, 3, 3]
 
     def test_cfg_matches_two_call_loop(self, rng):
         model = _jittered(mini_config(f=3), seed=24)
-        text, null = rng.standard_normal(8), rng.standard_normal(8)
+        text, null = rng.standard_normal(dn.TEXT_DIM), rng.standard_normal(dn.TEXT_DIM)
         z_init = rng.standard_normal((3, 3, 4, 4))
         got = ddim_sample(model, text, null, steps=6, guidance=7.5,
                           z_init=z_init)
@@ -592,18 +591,18 @@ class TestDdim:
         assert np.max(np.abs(got - z_init)) > 1e-3
         assert np.max(np.abs(got - z)) <= 1e-10
 
-    def test_guidance_zero_is_unconditional(self, text8):
+    def test_guidance_zero_is_unconditional(self, prompt_emb):
         model = MvDenoiser(mini_config(), seed=12)
-        _overfit_briefly(model, text8, steps=10)
-        null = np.zeros_like(text8)
-        a = ddim_sample(model, text8, null, steps=4, guidance=0.0, seed=5)
+        _overfit_briefly(model, prompt_emb, steps=10)
+        null = np.zeros_like(prompt_emb)
+        a = ddim_sample(model, prompt_emb, null, steps=4, guidance=0.0, seed=5)
         b = ddim_sample(model, null, null, steps=4, guidance=1.0, seed=5)
         assert np.allclose(a, b, atol=1e-12)
 
     @pytest.mark.parametrize("guidance", [float("nan"), float("inf"), -1.0])
-    def test_bad_guidance_rejected(self, mini_model, text8, guidance):
+    def test_bad_guidance_rejected(self, mini_model, prompt_emb, guidance):
         with pytest.raises(ValueError, match="guidance"):
-            ddim_sample(mini_model, text8, np.zeros_like(text8), steps=2,
+            ddim_sample(mini_model, prompt_emb, np.zeros_like(prompt_emb), steps=2,
                         guidance=guidance)
 
     def test_more_steps_than_schedule_rejected(self):
@@ -620,20 +619,20 @@ class TestDdim:
             back = ddim_step(zt, t, 0, eps, sched)
             assert np.max(np.abs(back - z0)) < 1e-8
 
-    def test_sampling_bitwise_deterministic(self, text8):
+    def test_sampling_bitwise_deterministic(self, prompt_emb):
         model = MvDenoiser(mini_config(), seed=13)
-        _overfit_briefly(model, text8, steps=10)
-        a = ddim_sample(model, text8, np.zeros_like(text8), steps=5,
+        _overfit_briefly(model, prompt_emb, steps=10)
+        a = ddim_sample(model, prompt_emb, np.zeros_like(prompt_emb), steps=5,
                         guidance=7.5, seed=9)
-        b = ddim_sample(model, text8, np.zeros_like(text8), steps=5,
+        b = ddim_sample(model, prompt_emb, np.zeros_like(prompt_emb), steps=5,
                         guidance=7.5, seed=9)
         assert np.array_equal(a, b)
 
 
 class TestCheckpoint:
-    def test_roundtrip(self, tmp_path, text8):
+    def test_roundtrip(self, tmp_path, prompt_emb):
         model = MvDenoiser(mini_config(), seed=14)
-        _overfit_briefly(model, text8, steps=5)
+        _overfit_briefly(model, prompt_emb, steps=5)
         save_checkpoint(model, tmp_path, step=5, extra={"prompt": "x"})
         assert sorted(os.listdir(tmp_path)) == ["checkpoint.json", "params.mvt"]
         back, manifest = load_checkpoint(tmp_path)

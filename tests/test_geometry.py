@@ -17,6 +17,15 @@ depths = st.floats(min_value=-20, max_value=20, allow_nan=False)
 cols = st.floats(min_value=0, max_value=31, allow_nan=False)
 
 
+class TestViewRing:
+    @pytest.mark.parametrize("field, value", [
+        ("f", 2.5), ("W", "8"), ("H", True), ("elevation_deg", math.nan),
+        ("distance", math.inf), ("f", 0), ("W", -8)])
+    def test_field_of_the_wrong_kind_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            ViewRing(**{"f": 4, field: value})
+
+
 class TestDeltaAzimuth:
     def test_twelve_view_step(self):
         ring = ViewRing(f=12)

@@ -67,8 +67,8 @@ def dataset_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def checkpoint_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("ck")
-    save_checkpoint(MvDenoiser(ModelConfig(f=2, latent_h=4, latent_w=4, channels=8,
-                                           text_dim=8)), path, extra={"prompt": "a"})
+    save_checkpoint(MvDenoiser(ModelConfig(f=2, latent_h=4, latent_w=4, channels=8)),
+                    path, extra={"prompt": "a"})
     return path
 
 

@@ -218,7 +218,8 @@ class TestCliPipeline:
 
     @pytest.mark.parametrize("edit", [
         "json_list", "json_string", "string_W", "float_f", "string_elevation",
-        "string_seed", "zero_f", "zero_W", "negative_H"])
+        "string_seed", "zero_f", "zero_W", "negative_H", "missing_distance",
+        "bool_f"])
     def test_malformed_dataset_manifest_is_io_error(self, dataset_dir, tmp_path,
                                                     capsys, edit):
         ds = tmp_path / "ds"
@@ -240,6 +241,10 @@ class TestCliPipeline:
             m["f"] = 0
         elif edit == "zero_W":
             m["W"] = 0
+        elif edit == "missing_distance":
+            del m["distance"]
+        elif edit == "bool_f":
+            m["f"] = True
         else:
             m["H"] = -8
         (ds / "manifest.json").write_text(json.dumps(m))
@@ -269,16 +274,6 @@ class TestCliPipeline:
                      "--steps", "2", "--out", str(tmp_path / "s")]) == 0
         run = json.loads((tmp_path / "s" / "run.json").read_text())
         assert run["malloc"] == "libc default"
-
-    def test_sample_embeds_at_the_checkpoint_text_dim(self, tmp_path):
-        from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
-        ck, out = tmp_path / "ck", tmp_path / "s"
-        save_checkpoint(MvDenoiser(ModelConfig(f=2, latent_h=4, latent_w=4,
-                                               channels=8, text_dim=8)), ck)
-        assert main(["sample", "--checkpoint", str(ck), "--prompt", "a cube",
-                     "--steps", "2", "--out", str(out)]) == 0
-        assert sorted(os.listdir(out)) == ["latents.mvt", "run.json",
-                                           "view_00.ppm", "view_01.ppm"]
 
     def test_bad_stack_is_config_error(self, dataset_dir, tmp_path):
         assert main(["train", "--dataset", str(dataset_dir),
@@ -389,12 +384,12 @@ class TestCliPipeline:
     def test_bad_checkpoint_config_is_io_error(self, tmp_path, capsys, edit):
         """Configs that ModelConfig or the model it builds reject exit 3, as
         do checkpoints of the formats that had text-attention q/k and norm,
-        attention heads and AIR strides, or the training recipe's p_2d,
-        p_drop and T in the config."""
+        attention heads and AIR strides, the training recipe's p_2d, p_drop
+        and T, or the fixed widths text_dim and d_state in the config."""
         from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
         ck = tmp_path / "ck"
         save_checkpoint(MvDenoiser(ModelConfig(f=2, latent_h=4, latent_w=4,
-                                               channels=8, text_dim=8)), ck)
+                                               channels=8)), ck)
         manifest = json.loads((ck / "checkpoint.json").read_text())
         config = manifest["config"]
         if edit == "unknown_key":
@@ -404,7 +399,7 @@ class TestCliPipeline:
         elif edit == "zero_blocks":
             config["blocks"] = 0
         elif edit == "zero_d_state":
-            config["d_state"] = 0
+            config["d_state"] = 0                 # retired field, any value
         elif edit == "unknown_scan_strategy":
             config["scan_strategy"] = "zigzag"
         elif edit == "p_2d_above_one":
@@ -421,7 +416,7 @@ class TestCliPipeline:
             manifest["param_names"] += ["block0.ca_norm.gain", "block0.ca_norm.bias",
                                         "block0.ca.w_q", "block0.ca.w_k"]
         elif edit == "zero_text_dim":
-            config["text_dim"] = 0
+            config["text_dim"] = 0                # retired field, any value
         elif edit == "fractional_f":
             config["f"] = 12.5
         elif edit == "zero_T":
@@ -441,7 +436,8 @@ class TestCliPipeline:
                      str(tmp_path / "s"), "--prompt", "a cube"]) == 3
         err = capsys.readouterr().err
         assert ("param_names" if edit.startswith("param_names") else "config") in err
-        named = {"zero_d_state": "d_state must be", "zero_lr": "lr must be",
+        named = {"zero_d_state": "'d_state'", "zero_text_dim": "'text_dim'",
+                 "zero_lr": "lr must be",
                  "unknown_scan_strategy": "unknown scan strategy",
                  "p_2d_above_one": "'p_2d'", "zero_T": "'T'"}
         assert named.get(edit, "") in err
@@ -453,8 +449,7 @@ class TestCliPipeline:
         from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
         ck = tmp_path / "ck"
         save_checkpoint(MvDenoiser(ModelConfig(
-            f=2, latent_h=4, latent_w=4, channels=8, text_dim=8,
-            **parse_stack(stack))), ck)
+            f=2, latent_h=4, latent_w=4, channels=8, **parse_stack(stack))), ck)
         manifest = json.loads((ck / "checkpoint.json").read_text())
         manifest["config"]["scan_strategy"] = "zigzag"
         (ck / "checkpoint.json").write_text(json.dumps(manifest))
@@ -487,12 +482,20 @@ class TestCliPipeline:
         assert "scan strategy" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unknown_train_scan_is_config_error(self, dataset_dir, tmp_path,
+                                                capsys):
+        """ModelConfig, not argparse, refuses the strategy: exit 2."""
+        assert main(["train", "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "ck"), "--scan", "zigzag"]) == 2
+        assert "scan strategy" in capsys.readouterr().err
+        assert not (tmp_path / "ck").exists()
+
     @pytest.mark.parametrize("extra", [None, ["a cube"], {"prompt": 5}])
     def test_bad_checkpoint_extra_is_io_error(self, tmp_path, capsys, extra):
         from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
         ck = tmp_path / "ck"
         save_checkpoint(MvDenoiser(ModelConfig(f=2, latent_h=4, latent_w=4,
-                                               channels=8, text_dim=8)), ck,
+                                               channels=8)), ck,
                         extra={"prompt": "a cube"})
         manifest = json.loads((ck / "checkpoint.json").read_text())
         if extra is None:

@@ -49,13 +49,13 @@ def test_operator_oracles_and_harness_calls_pass(mv):
 
 def test_traced_full_stack_denoise_records_every_operator(mv):
     dn = mv.denoiser
-    config = dn.ModelConfig(f=3, latent_h=4, latent_w=4, channels=8, text_dim=8,
+    config = dn.ModelConfig(f=3, latent_h=4, latent_w=4, channels=8,
                             **workloads.stack_flags(workloads.FULL))
     model = dn.MvDenoiser(config, seed=0)
     z = np.random.default_rng(0).standard_normal((3, 3, 4, 4))
     tracer = spans.Tracer("contract")
     with spans.installed(tracer, mv):
-        model.denoise(z, 500, np.ones(8))
+        model.denoise(z, 500, np.ones(dn.TEXT_DIM))
     missing = set(OPERATOR_SPANS) - set(tracer.names)
     assert not missing, f"no span recorded for {sorted(missing)}"
     assert dn.adjacent_attention is mv.attention.adjacent_attention
@@ -66,11 +66,10 @@ def test_step_modes_replay_training_steps_coins(mv):
     ModelConfig.p_drop and the model's schedule length; its coins must be
     the ones training_step draws."""
     dn = mv.denoiser
-    config = dn.ModelConfig(f=3, latent_h=4, latent_w=4, channels=8, text_dim=8,
-                            d_state=2)
+    config = dn.ModelConfig(f=3, latent_h=4, latent_w=4, channels=8)
     model = dn.MvDenoiser(config, seed=0)
     batch = {"z0": np.random.default_rng(0).standard_normal((3, 3, 4, 4)),
-             "text": np.ones(8), "null": np.zeros(8)}
+             "text": np.ones(dn.TEXT_DIM), "null": np.zeros(dn.TEXT_DIM)}
     env = {"model": model, "batch": batch}
     n = 30
     modes = workloads.step_modes(env, n)
@@ -89,3 +88,14 @@ def test_step_modes_replay_training_steps_coins(mv):
         dn.training_step(batch, model, model.sched, rng)
     assert seen == list(zip(modes, drops))
     assert True in modes and False in modes and True in drops
+
+
+def test_train_full_set_up_trains_a_step(mv, tmp_path):
+    """perfbench's own train-full set-up builds a batch whose prompt
+    embedding the model takes: one training step gives a finite loss."""
+    env = workloads.set_up_once(mv, workloads.WORKLOADS["train-full"], 0,
+                                str(tmp_path), 0)
+    model = env["model"]
+    loss = mv.denoiser.training_step(env["batch"], model, model.sched,
+                                     np.random.default_rng(workloads.TRAIN_RNG_SEED))
+    assert np.isfinite(loss)
