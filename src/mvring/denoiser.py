@@ -229,6 +229,9 @@ class ModelConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if self.channels < 2:
+            raise ValueError(f"channels must be >= 2, got {self.channels}: a "
+                             "norm over one channel maps every input to its bias")
         if not self.lr > 0.0:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.scan_strategy not in SCAN_STRATEGIES:

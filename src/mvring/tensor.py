@@ -5,11 +5,13 @@ records a dynamic graph over a closed primitive set: matmul, addition and
 multiplication, exp/sigmoid/softplus/silu, softmax, layer norm, sums,
 reshape/transpose/concat, slicing and index-array gathers, 3x3 convolution,
 bilinear upsampling, and the selective-SSM recurrence beneath the scan as one
-node with a hand-written backward. Means
-and average pooling are composed from these. `backward()` needs a scalar
-output and replays the graph in a fixed topological order, so repeated
-backward passes are bit-identical. Inside `no_grad()` no graph is recorded:
-results hold no parents and no backward closure.
+node with a hand-written backward. Means and average pooling are composed
+from these. `backward()` needs a scalar output, runs the closures in a fixed
+topological order and consumes the graph as it goes: each interior node's
+gradient, closure and parent links are dropped once used, leaves keep their
+gradients, and a second backward through the freed graph raises
+RuntimeError. Inside `no_grad()` no graph is recorded: results hold no
+parents and no backward closure.
 """
 
 from __future__ import annotations
@@ -91,6 +93,11 @@ def _acc(node, g):
     node.grad = g if node.grad is None else node.grad + g
 
 
+def _consumed(g):
+    """Closure of an interior node whose backward has already run."""
+    raise RuntimeError("backward through a graph that an earlier backward freed")
+
+
 class Tensor:
     """A dense N-d array node in a dynamic autodiff graph.
 
@@ -147,16 +154,28 @@ class Tensor:
         return order
 
     def backward(self):
-        """Accumulate gradients of this scalar tensor into the graph."""
+        """Accumulate gradients of this scalar tensor into the graph's leaves,
+        consuming the graph on the way.
+
+        Each interior node's closure runs once, in a fixed topological order;
+        then its gradient, closure and parents are dropped, so the arrays they
+        hold are freed as soon as nothing upstream needs them. Leaves (nodes
+        without a closure) keep their gradients. A second backward through a
+        consumed node raises RuntimeError before any gradient moves.
+        """
         if not self.requires_grad:
             raise RuntimeError("backward on a tensor that requires no grad")
         if self.data.size != 1:
             raise RuntimeError("backward needs a scalar output")
         order = self._toposort()
+        if any(node._backward is _consumed for node in order):
+            _consumed(None)
         _acc(self, np.ones_like(self.data))
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, _consumed, ()
 
     def zero_grad(self):
         self.grad = None
@@ -500,21 +519,18 @@ def selective_recurrence(delta, dx, b, c, a):
     kernel call of width M*N*D; the readout is one einsum over N. The
     backward pass is one reverse-time recurrence plus sums over N and D.
     """
-    L, M, D = delta.data.shape
-    N = a.data.shape[1]
-    dl = delta.data.reshape(L, M, 1, D)
-    c4 = c.data.reshape(L, M, N, 1)
     at = a.data.T                                             # [N, D]
-    abar = dl * at
+    # order="C": the transposed `at` would otherwise lay the state out N-innermost
+    abar = np.einsum("lmd,nd->lmnd", delta.data, at, order="C")
     np.exp(abar, out=abar)                                    # [L, M, N, D]
-    u = dx.data.reshape(L, M, 1, D) * b.data.reshape(L, M, N, 1)
+    u = np.einsum("lmd,lmn->lmnd", dx.data, b.data)
     h = _kernel.linrec_array(abar, u)
     y = np.einsum("lmnd,lmn->lmd", h, c.data)
 
     def backward(g):
         if c.requires_grad:
             _acc(c, np.einsum("lmnd,lmd->lmn", h, g))
-        gh = _reverse_recurrence(abar, g.reshape(L, M, 1, D) * c4)
+        gh = _reverse_recurrence(abar, np.einsum("lmd,lmn->lmnd", g, c.data))
         if dx.requires_grad:
             _acc(dx, np.einsum("lmnd,lmn->lmd", gh, b.data))
         if b.requires_grad:

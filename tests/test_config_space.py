@@ -1,10 +1,11 @@
 """Property test over ModelConfig's space: every config it accepts trains a
 step, samples and round-trips a checkpoint; every config it refuses is one
-that could not run.
+that could not run, or, for one channel, one whose prediction ignores its
+input.
 
-The space is f in 1-4, latent extents 1-12 (non-square included), channels,
-blocks, each operator switch and each scan strategy. hypothesis draws it
-derandomized, so the examples are the same on every run.
+The space is f in 1-4, latent extents 1-12 (non-square included), channels
+1-8 (1 is refused), blocks, each operator switch and each scan strategy.
+hypothesis draws it derandomized, so the examples are the same on every run.
 """
 
 import numpy as np
@@ -58,6 +59,22 @@ def test_accepted_configs_run_and_refused_ones_cannot(checkpoint_dir, prompt, kw
     text, null = prompt
     view = (kw["f"], LATENT_CHANNELS, kw["latent_h"], kw["latent_w"])
     z0 = np.random.default_rng(0).uniform(-1.0, 1.0, view)
+    if kw["channels"] == 1:
+        with pytest.raises(ValueError, match="channels"):
+            ModelConfig(**kw)
+        # with the check bypassed, every channel norm maps its input to its
+        # bias, so the prediction of a jittered model ignores z_t
+        air = kw["enable_air"] and air_strides_divide(kw)
+        config = ModelConfig(**{**kw, "channels": 2, "enable_air": air})
+        config.channels = 1
+        model = MvDenoiser(config, seed=1)
+        rng = np.random.default_rng(1)
+        for p in model.params():
+            p.data = p.data + rng.standard_normal(p.data.shape) * 0.1
+        pred = model.denoise(z0, 500, text).data
+        assert np.abs(pred).max() > 0.0
+        assert np.array_equal(model.denoise(-z0, 500, text).data, pred)
+        return
     if kw["enable_air"] and not air_strides_divide(kw):
         with pytest.raises(ValueError, match="air strides"):
             ModelConfig(**kw)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,6 +343,31 @@ class TestBatchedDenoise:
         gc.collect()
         step()
         assert gc.collect() == 0
+
+    def test_backward_peaks_at_the_forward_activations(self, prompt_emb, rng):
+        # backward frees each interior gradient and closure once used, so
+        # its peak stays near the activations the forward left live
+        model = MvDenoiser(ModelConfig(), seed=0)
+        view = (12, 3, 8, 8)
+        z = rng.standard_normal(view)
+        eps = Tensor(rng.standard_normal(view))
+
+        def loss():
+            diff = model.denoise(z, 500, prompt_emb, mode_2d=False) - eps
+            return (diff * diff).mean()
+
+        loss().backward()  # fills the lazy per-shape caches
+        model.tape.zero_grad()
+        tracemalloc.start()
+        try:
+            out = loss()
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * live, (peak, live)
 
 
 def np_cross_attention(x, e, gain, bias, w_q, w_k, w_v, w_o):

@@ -302,6 +302,14 @@ class TestCliPipeline:
                      "--out", str(tmp_path / "o"), "--channels", "0"]) == 2
         assert "channels must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["train", "ablate"])
+    def test_one_channel_is_config_error(self, dataset_dir, tmp_path, capsys, cmd):
+        # a norm over one channel maps every input to its bias
+        assert main([cmd, "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "o"), "--channels", "1"]) == 2
+        assert "channels must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flag,value", [
         ("--blocks", "0"), ("--blocks", "-1"), ("--lr", "nan"), ("--lr", "inf"),
         ("--lr", "0"), ("--lr", "-1")])
@@ -380,7 +388,7 @@ class TestCliPipeline:
         "unknown_scan_strategy", "p_2d_above_one", "zero_lr", "zero_f",
         "zero_latent_h", "retired_guidance", "retired_params", "zero_text_dim",
         "fractional_f", "zero_T", "string_enable_aa", "param_names_int",
-        "param_names_mixed", "retired_heads_strides"])
+        "param_names_mixed", "retired_heads_strides", "one_channel"])
     def test_bad_checkpoint_config_is_io_error(self, tmp_path, capsys, edit):
         """Configs that ModelConfig or the model it builds reject exit 3, as
         do checkpoints of the formats that had text-attention q/k and norm,
@@ -429,6 +437,8 @@ class TestCliPipeline:
             manifest["param_names"] = [1, "a"]
         elif edit == "retired_heads_strides":
             config.update(n_heads=1, tau=2, rho=4)
+        elif edit == "one_channel":
+            config["channels"] = 1
         else:
             del manifest["config"]
         (ck / "checkpoint.json").write_text(json.dumps(manifest))
@@ -439,7 +449,8 @@ class TestCliPipeline:
         named = {"zero_d_state": "'d_state'", "zero_text_dim": "'text_dim'",
                  "zero_lr": "lr must be",
                  "unknown_scan_strategy": "unknown scan strategy",
-                 "p_2d_above_one": "'p_2d'", "zero_T": "'T'"}
+                 "p_2d_above_one": "'p_2d'", "zero_T": "'T'",
+                 "one_channel": "channels must be >= 2"}
         assert named.get(edit, "") in err
         assert not (tmp_path / "s").exists()
 

@@ -278,6 +278,29 @@ class TestAutodiff:
 
         assert np.array_equal(run(), run())
 
+    def test_backward_consumes_the_graph(self, rng):
+        w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        h = matmul(x, w)
+        loss = (softmax(h) * h).sum()
+        loss.backward()
+        assert h.grad is None and h._parents == ()
+        assert loss.grad is None
+        assert w.grad.shape == w.data.shape and x.grad.shape == x.data.shape
+
+    def test_second_backward_raises_and_moves_no_gradient(self, rng):
+        w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        h = (w * w).exp()
+        loss = h.sum()
+        loss.backward()
+        kept = w.grad.copy()
+        with pytest.raises(RuntimeError, match="earlier backward freed"):
+            loss.backward()
+        # the reverse walk would reach w * 2.0 before the consumed h
+        with pytest.raises(RuntimeError, match="earlier backward freed"):
+            (h + w * 2.0).sum().backward()
+        assert np.array_equal(w.grad, kept)
+
     def test_gradient_shape_matches_parameter(self, rng):
         w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
         matmul(Tensor(rng.standard_normal((2, 3))), w).sum().backward()
