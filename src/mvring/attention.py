@@ -84,7 +84,7 @@ def sdpa(q, k, v, bias=None):
     if k.shape[-1] != d or v.shape[-1] != d or k.shape[:-1] != v.shape[:-1]:
         raise ValueError(f"sdpa shape mismatch: q{q.shape} k{k.shape} v{v.shape}")
     logits = matmul(q, k.swap_last2())
-    return matmul(softmax(logits, axis=-1, scale=1.0 / np.sqrt(d), bias=bias), v)
+    return matmul(softmax(logits, scale=1.0 / np.sqrt(d), bias=bias), v)
 
 
 def _to_tokens(x):

@@ -279,13 +279,6 @@ def decode_latents(z):
 # -- layers -----------------------------------------------------------------------
 
 
-def channel_norm(x, gain, bias):
-    """Per-position layer norm over the channel axis of [n,C,H,W]."""
-    c = x.shape[1]
-    return layer_norm(x, gain.reshape(1, c, 1, 1), bias.reshape(1, c, 1, 1),
-                      axis=1)
-
-
 @dataclass
 class ConvParams:
     w: Tensor
@@ -308,6 +301,10 @@ class NormParams:
     def init(cls, tape, prefix, c):
         return cls(gain=tape.param(f"{prefix}.gain", np.ones(c)),
                    bias=tape.zeros(f"{prefix}.bias", (c,)))
+
+    def __call__(self, x):
+        """Per-position layer norm over the channel axis of x [n, C, H, W]."""
+        return layer_norm(x, self.gain, self.bias)
 
 
 @dataclass
@@ -333,12 +330,10 @@ class ResBlockParams:
 
 def res_block(x, emb, p: ResBlockParams):
     """x + conv(silu(norm(x)) + emb); the second conv starts at zero."""
-    h = conv3x3(channel_norm(x, p.norm1.gain, p.norm1.bias).silu(),
-                p.conv1.w, p.conv1.b)
+    h = conv3x3(p.norm1(x).silu(), p.conv1.w, p.conv1.b)
     shift = matmul(emb.silu(), p.emb_proj_w) + p.emb_proj_b      # [n, C]
     h = h + shift.reshape(shift.shape[0], shift.shape[1], 1, 1)
-    h = conv3x3(channel_norm(h, p.norm2.gain, p.norm2.bias).silu(),
-                p.conv2.w, p.conv2.b)
+    h = conv3x3(p.norm2(h).silu(), p.conv2.w, p.conv2.b)
     return x + h
 
 
@@ -475,21 +470,21 @@ class MvDenoiser:
             x = cross_attention(x, text_emb, None, blk.ca)
             if not mode_2d:
                 if cfg.enable_aa:
-                    nx = channel_norm(x, blk.aa_norm.gain, blk.aa_norm.bias)
+                    nx = blk.aa_norm(x)
                     x = x + adjacent_attention(LatentStack(nx, self.ring), blk.aa).data
                 if cfg.enable_dr:
-                    nx = channel_norm(x, blk.dr_norm.gain, blk.dr_norm.bias)
+                    nx = blk.dr_norm(x)
                     x = x + trajectory_attention(LatentStack(nx, self.ring),
                                                  self.ring, blk.dr).data
                 if cfg.enable_rg:
                     x = rapid_glance(LatentStack(x, self.ring), blk.rg,
                                      cfg.scan_strategy).data
                 if cfg.enable_air:
-                    nx = channel_norm(x, blk.air_norm.gain, blk.air_norm.bias)
+                    nx = blk.air_norm(x)
                     ns = LatentStack(nx, self.ring)
                     scores = score_map(ns, text_emb, blk.smap)
                     x = x + air_attention(ns, scores, self.air_cfg, blk.air).data
-        x = channel_norm(x, self.head_norm.gain, self.head_norm.bias).silu()
+        x = self.head_norm(x).silu()
         out = conv3x3(x, self.head.w, self.head.b)
         return out.reshape(b, *view) if e.ndim == 2 else out
 

@@ -2,16 +2,16 @@
 
 Every Tensor holds a float64 numpy array, whatever it was built from, and
 records a dynamic graph over a closed primitive set: matmul, addition and
-multiplication, exp/sigmoid/softplus/silu, softmax, layer norm, sums,
-reshape/transpose/concat, slicing and index-array gathers, 3x3 convolution,
-bilinear upsampling, and the selective-SSM recurrence beneath the scan as one
-node with a hand-written backward. Means and average pooling are composed
-from these. `backward()` needs a scalar output, runs the closures in a fixed
-topological order and consumes the graph as it goes: each interior node's
-gradient, closure and parent links are dropped once used, leaves keep their
-gradients, and a second backward through the freed graph raises
-RuntimeError. Inside `no_grad()` no graph is recorded: results hold no
-parents and no backward closure.
+multiplication, exp/sigmoid/softplus/silu, softmax, channel layer norm,
+sums, reshape/transpose/concat, slicing and index-array gathers, 3x3
+convolution, bilinear upsampling, and the selective-SSM recurrence beneath
+the scan as one node with a hand-written backward. Means and average
+pooling are composed from these. `backward()` needs a scalar output, runs
+the closures in a fixed topological order and consumes the graph as it
+goes: each interior node's gradient, closure and parent links are dropped
+once used, leaves keep their gradients, and a second backward through the
+freed graph raises RuntimeError. Inside `no_grad()` no graph is recorded:
+results hold no parents and no backward closure.
 """
 
 from __future__ import annotations
@@ -268,19 +268,18 @@ class Tensor:
 
     # -- reductions ------------------------------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
+    def sum(self, axis=None):
         def backward(g):
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             _acc(self, np.broadcast_to(g, self.data.shape).copy())
 
-        return Tensor(self.data.sum(axis=axis, keepdims=keepdims),
-                      _parents=(self,), _backward=backward)
+        return Tensor(self.data.sum(axis=axis), _parents=(self,), _backward=backward)
 
-    def mean(self, axis=None, keepdims=False):
+    def mean(self, axis=None):
         n = self.data.size if axis is None else np.prod(
             [self.data.shape[a] for a in np.atleast_1d(axis)])
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
+        return self.sum(axis=axis) * (1.0 / float(n))
 
     # -- shape ops ---------------------------------------------------------------
 
@@ -361,26 +360,24 @@ def matmul(a, b):
                 gb = np.matmul(a.data.reshape(-1, k).T, g.reshape(-1, n))
             else:
                 gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                if gb.ndim > b.ndim:
-                    gb = gb.sum(axis=tuple(range(gb.ndim - b.ndim)))
             _acc(b, gb)
 
     return Tensor(np.matmul(a.data, b.data), _parents=(a, b), _backward=backward)
 
 
-def softmax(x, axis=-1, scale=1.0, bias=None):
-    """Numerically stable softmax of x * scale + bias along `axis`; rows sum
-    to 1. `bias` is a constant additive array (0 keeps an entry, large
-    negative removes it) and receives no gradient."""
+def softmax(x, scale=1.0, bias=None):
+    """Numerically stable softmax of x * scale + bias along the last axis;
+    rows sum to 1. `bias` is a constant additive array (0 keeps an entry,
+    large negative removes it) and receives no gradient."""
     y = x.data * scale
     if bias is not None:
         y += bias
-    y -= y.max(axis=axis, keepdims=True)
+    y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         gx = y * (g - dot)
         gx *= scale
         _acc(x, gx)
@@ -388,27 +385,29 @@ def softmax(x, axis=-1, scale=1.0, bias=None):
     return Tensor(y, _parents=(x,), _backward=backward)
 
 
-def layer_norm(x, gain, bias, axis=-1):
-    """(x - mean) / sqrt(var + LN_EPS) * gain + bias along one axis."""
-    mu = x.data.mean(axis=axis, keepdims=True)
+def layer_norm(x, gain, bias):
+    """Layer norm over the channel axis of x [n, C, H, W]:
+    (x - mean) / sqrt(var + LN_EPS) * gain + bias, gain and bias [C]."""
+    mu = x.data.mean(axis=1, keepdims=True)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=axis, keepdims=True)
+    var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
+    gc = gain.data.reshape(-1, 1, 1)
 
     def backward(g):
         if gain.requires_grad:
-            _acc(gain, _unbroadcast(g * xhat, gain.data.shape))
+            _acc(gain, (g * xhat).sum(axis=(0, 2, 3)))
         if bias.requires_grad:
-            _acc(bias, _unbroadcast(g, bias.data.shape))
+            _acc(bias, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            gx = g * gain.data
-            m1 = gx.mean(axis=axis, keepdims=True)
-            m2 = (gx * xhat).mean(axis=axis, keepdims=True)
+            gx = g * gc
+            m1 = gx.mean(axis=1, keepdims=True)
+            m2 = (gx * xhat).mean(axis=1, keepdims=True)
             _acc(x, inv * (gx - m1 - xhat * m2))
 
-    return Tensor(xhat * gain.data + bias.data, _parents=(x, gain, bias),
-                  _backward=backward)
+    return Tensor(xhat * gc + bias.data.reshape(-1, 1, 1),
+                  _parents=(x, gain, bias), _backward=backward)
 
 
 def avg_pool2d(x, stride):
@@ -444,8 +443,6 @@ def bilinear_upsample2d(x, factor):
     if factor < 1 or int(factor) != factor:
         raise ValueError(f"upsample factor must be a positive integer, got {factor}")
     factor = int(factor)
-    if factor == 1:
-        return x + 0.0
     h, w = x.data.shape[-2:]
     uh = _upsample_matrix(h, factor)
     uw = _upsample_matrix(w, factor)

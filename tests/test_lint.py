@@ -156,10 +156,11 @@ UNSET_DEFAULTS_ALLOWED = {"cli.main.argv"}
 
 
 def defaulted_parameters(tree):
-    """(qualified name, parameter, positional index or None, bound offset)
-    for every parameter with a default. The offset is 1 for a method bound
-    to its instance or class, so a call's first argument fills the second
-    parameter; __init__ is qualified by its class, as its callers name it."""
+    """(qualified name, parameter, positional index or None, bound offset,
+    default) for every parameter with a default. The offset is 1 for a
+    method bound to its instance or class, so a call's first argument fills
+    the second parameter; __init__ is qualified by its class, as its callers
+    name it."""
     def visit(body, owner):
         for node in body:
             if isinstance(node, ast.ClassDef):
@@ -171,46 +172,68 @@ def defaulted_parameters(tree):
                 name = owner.name if node.name == "__init__" else node.name
                 a = node.args
                 positional = a.posonlyargs + a.args
-                for i, arg in enumerate(positional[len(positional) - len(a.defaults):],
-                                        len(positional) - len(a.defaults)):
-                    yield name, arg.arg, i, offset
+                first = len(positional) - len(a.defaults)
+                for i, (arg, default) in enumerate(
+                        zip(positional[first:], a.defaults), first):
+                    yield name, arg.arg, i, offset, default
                 for arg, default in zip(a.kwonlyargs, a.kw_defaults):
                     if default is not None:
-                        yield name, arg.arg, None, offset
+                        yield name, arg.arg, None, offset, default
                 yield from visit(node.body, None)
     yield from visit(tree.body, None)
 
 
-def calls_setting(trees):
-    """Callee name -> [(positional count, keywords, star, double star)]."""
+def calls_by_name(trees):
+    """Callee name -> its call nodes."""
     out = {}
     for tree in trees:
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            star = any(isinstance(a, ast.Starred) for a in node.args)
-            kws = {k.arg for k in node.keywords}
-            out.setdefault(name, []).append(
-                (len(node.args), kws - {None}, star, None in kws))
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                out.setdefault(name, []).append(node)
     return out
+
+
+def passed_values(call, param, index):
+    """The nodes `call` passes for a parameter, by keyword or at positional
+    `index`; None stands for a value passed through * or **, unseen."""
+    out = [k.value for k in call.keywords if k.arg == param]
+    if any(k.arg is None for k in call.keywords):
+        out.append(None)
+    if index is not None and any(isinstance(a, ast.Starred) for a in call.args):
+        out.append(None)
+    elif index is not None and index < len(call.args):
+        out.append(call.args[index])
+    return out
+
+
+def literal(node):
+    """(type, value) of a literal node, or None for any other expression."""
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return None
+    return type(value), value
 
 
 def test_defaulted_parameters_are_set_by_the_program():
     """A defaulted parameter of a runtime module that no package module or
-    perfbench script sets, by keyword, by position or through * or **, is
-    a constant: it belongs in the body, not the signature."""
-    calls = calls_setting(list(TREES.values()) + PERFBENCH_TREES)
+    perfbench script sets, by keyword, by position or through * or **, to
+    anything but its own default literal is a constant: it belongs in the
+    body, not the signature."""
+    calls = calls_by_name(list(TREES.values()) + PERFBENCH_TREES)
     unset = []
     for mod, tree in TREES.items():
-        for fn, param, index, offset in defaulted_parameters(tree):
+        for fn, param, index, offset, default in defaulted_parameters(tree):
             qual = f"{mod[:-3]}.{fn}.{param}"
             if qual in UNSET_DEFAULTS_ALLOWED:
                 continue
-            if not any(param in kws or dstar
-                       or (index is not None
-                           and (star or n > index - offset))
-                       for n, kws, star, dstar in calls.get(fn, ())):
+            own = literal(default)
+            pos = None if index is None else index - offset
+            if not any(v is None or own is None or literal(v) != own
+                       for call in calls.get(fn, ())
+                       for v in passed_values(call, param, pos)):
                 unset.append(qual)
-    assert not unset, f"defaulted parameters no program caller sets: {unset}"
+    assert not unset, f"defaulted parameters no program caller sets off " \
+        f"their default: {unset}"

@@ -177,6 +177,20 @@ class TestCliPipeline:
         for name in sorted(os.listdir(a)):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_gen_data_random_elevation_is_the_seeded_draw(self, tmp_path):
+        """--elevation random draws the scene's elevation in [-30, 30]
+        degrees from its --seed, so a rerun draws the same one."""
+        drawn = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["gen-data", "--out", str(out), "--seed", "5", "--views",
+                         "2", "--res", "8", "--elevation", "random"]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            drawn.append(manifest["elevation_deg"])
+        assert drawn[0] == np.random.default_rng(5).uniform(-30.0, 30.0)
+        assert -30.0 <= drawn[0] <= 30.0
+        assert drawn[1] == drawn[0]
+
     def test_train_sample_eval_roundtrip(self, dataset_dir, tmp_path):
         ck = tmp_path / "ck"
         assert main(["train", "--dataset", str(dataset_dir), "--out", str(ck),
