@@ -78,11 +78,9 @@ def _build_config(manifest, args, stack_flags, scan):
         latent_h=manifest["H"] // dn.LATENT_FACTOR,
         latent_w=manifest["W"] // dn.LATENT_FACTOR,
         channels=args.channels,
-        blocks=args.blocks,
         elevation_deg=manifest["elevation_deg"],
         distance=manifest["distance"],
         scan_strategy=scan,
-        lr=args.lr,
         **stack_flags,
     )
 
@@ -327,8 +325,6 @@ def cmd_ablate(args):
         "sample_steps": args.sample_steps,
         "guidance": args.guidance,
         "channels": args.channels,
-        "blocks": args.blocks,
-        "lr": args.lr,
         "malloc": args.malloc,
     })
     return EXIT_OK
@@ -344,8 +340,6 @@ def _add_train_args(p):
                    help="early stop once the 50-step loss average dips below")
     p.add_argument("--log-every", type=int, default=200)
     p.add_argument("--channels", type=int, default=16)
-    p.add_argument("--blocks", type=int, default=1)
-    p.add_argument("--lr", type=float, default=2e-3)
     p.add_argument("--seed", type=_seed, default=0, help="training seed")
 
 

@@ -308,4 +308,10 @@ def load_dataset(path):
             raise ShapeMismatchError(
                 f"{apath}: shape {arr.shape}, manifest says {shape}")
         arrays.append(arr)
-    return RenderedSet(images=arrays[0], depths=arrays[1], ring=ring), manifest
+    images, depths = arrays
+    # NaN fails both value tests; +inf is the background depth
+    if not ((images >= 0.0) & (images <= 1.0)).all():
+        raise DatasetError(f"{path}: {IMAGES_NAME} holds values not in [0, 1]")
+    if not (depths > -np.inf).all():
+        raise DatasetError(f"{path}: {DEPTHS_NAME} holds NaN or -inf depths")
+    return RenderedSet(images=images, depths=depths, ring=ring), manifest

@@ -205,19 +205,19 @@ def time_features(t):
 
 @dataclass
 class ModelConfig:
-    """Denoiser hyperparameters and the consistency-operator switchboard."""
+    """Hyperparameters of the one-block denoiser and its operator switchboard."""
 
     # the fixed training recipe: class constants, not fields, so no checkpoint
     # carries them
     p_2d = 0.4          # chance a training step bypasses the cross-view operators
     p_drop = 0.1        # chance a training step swaps the prompt for the null one
     T = 1000            # steps of the linear noise schedule
+    lr = 2e-3           # Adam's step size
 
     f: int = 12
     latent_h: int = 8
     latent_w: int = 8
     channels: int = 16
-    blocks: int = 1
     enable_aa: bool = True
     enable_dr: bool = True
     enable_rg: bool = True
@@ -225,15 +225,12 @@ class ModelConfig:
     scan_strategy: str = "spiral-bidirectional"
     elevation_deg: float = 0.0
     distance: float = 2.0
-    lr: float = 2e-3
 
     def __post_init__(self):
         check_fields(self)
         if self.channels < 2:
             raise ValueError(f"channels must be >= 2, got {self.channels}: a "
                              "norm over one channel maps every input to its bias")
-        if not self.lr > 0.0:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.scan_strategy not in SCAN_STRATEGIES:
             raise ValueError(f"unknown scan strategy {self.scan_strategy!r}; "
                              f"choose one of {', '.join(SCAN_STRATEGIES)}")
@@ -395,31 +392,28 @@ class MvDenoiser:
         # paths carry gradient from the first step
         attn_seed = int(t.rng.integers(2 ** 31))
         oscale = OPERATOR_OUT_SCALE
-        self.blocks = []
-        for b in range(config.blocks):
-            pre = f"block{b}"
-            blk = BlockParams(
-                res=ResBlockParams.init(t, f"{pre}.res", c),
-                ca=TextShiftParams(t.normal(f"{pre}.ca.w_v", (TEXT_DIM, c),
-                                            1.0 / math.sqrt(TEXT_DIM)),
-                                   t.zeros(f"{pre}.ca.w_o", (c, c))),
-            )
-            if config.enable_aa:
-                blk.aa_norm = NormParams.init(t, f"{pre}.aa_norm", c)
-                blk.aa = AttentionParams.init(t, f"{pre}.aa", c, out_scale=oscale,
-                                              seed=attn_seed + b)
-            if config.enable_dr:
-                blk.dr_norm = NormParams.init(t, f"{pre}.dr_norm", c)
-                blk.dr = AttentionParams.init(t, f"{pre}.dr", c, out_scale=oscale,
-                                              seed=attn_seed + b)
-            if config.enable_rg:
-                blk.rg = SsmParams.init(t, f"{pre}.rg", c, D_STATE, out_scale=oscale)
-            if config.enable_air:
-                blk.air_norm = NormParams.init(t, f"{pre}.air_norm", c)
-                blk.air = AttentionParams.init(t, f"{pre}.air", c, out_scale=oscale,
-                                               seed=attn_seed + b)
-                blk.smap = ScoreMapper.init(t, f"{pre}.smap", c, TEXT_DIM)
-            self.blocks.append(blk)
+        # "block0." prefixes keep param_names equal to saved checkpoints' names
+        self.block = blk = BlockParams(
+            res=ResBlockParams.init(t, "block0.res", c),
+            ca=TextShiftParams(t.normal("block0.ca.w_v", (TEXT_DIM, c),
+                                        1.0 / math.sqrt(TEXT_DIM)),
+                               t.zeros("block0.ca.w_o", (c, c))),
+        )
+        if config.enable_aa:
+            blk.aa_norm = NormParams.init(t, "block0.aa_norm", c)
+            blk.aa = AttentionParams.init(t, "block0.aa", c, out_scale=oscale,
+                                          seed=attn_seed)
+        if config.enable_dr:
+            blk.dr_norm = NormParams.init(t, "block0.dr_norm", c)
+            blk.dr = AttentionParams.init(t, "block0.dr", c, out_scale=oscale,
+                                          seed=attn_seed)
+        if config.enable_rg:
+            blk.rg = SsmParams.init(t, "block0.rg", c, D_STATE, out_scale=oscale)
+        if config.enable_air:
+            blk.air_norm = NormParams.init(t, "block0.air_norm", c)
+            blk.air = AttentionParams.init(t, "block0.air", c, out_scale=oscale,
+                                           seed=attn_seed)
+            blk.smap = ScoreMapper.init(t, "block0.smap", c, TEXT_DIM)
         self.head_norm = NormParams.init(t, "head_norm", c)
         self.head = ConvParams.init(t, "head", c, LATENT_CHANNELS, zero=True)
         self.air_cfg = AirConfig()
@@ -444,10 +438,10 @@ class MvDenoiser:
         z_t is the ring [f, 3, H, W]. text_emb is one embedding [TEXT_DIM],
         and the output has the shape of z_t; or it is B embeddings
         [B, TEXT_DIM], and the ring is denoised under each prompt into
-        [B, f, 3, H, W]. The prompt-free trunk (stem conv, block 0's res
-        block) runs once, and its output is repeated into B rings just
-        before the first text shift. mode_2d bypasses every cross-view
-        operator, leaving the per-view text-to-image path.
+        [B, f, 3, H, W]. The prompt-free trunk (stem conv, res block) runs
+        once, and its output is repeated into B rings just before the text
+        shift. mode_2d bypasses every cross-view operator, leaving the
+        per-view text-to-image path.
         """
         cfg = self.config
         x = z_t if isinstance(z_t, Tensor) else Tensor(np.asarray(z_t))
@@ -460,30 +454,29 @@ class MvDenoiser:
             raise ValueError(f"text embedding shape {e.shape} is neither "
                              f"[TEXT_DIM] nor [B, TEXT_DIM]")
         b = e.shape[0] if e.ndim == 2 else 1
+        blk = self.block
         emb = self._embeddings(t)                                 # [f, C]
         x = conv3x3(x, self.stem.w, self.stem.b)
-        for blk in self.blocks:
-            x = res_block(x, emb, blk.res)
-            if x.shape[0] < b * cfg.f:                            # B whole rings
-                x = concat([x] * b, axis=0)
-                emb = concat([emb] * b, axis=0)
-            x = cross_attention(x, text_emb, None, blk.ca)
-            if not mode_2d:
-                if cfg.enable_aa:
-                    nx = blk.aa_norm(x)
-                    x = x + adjacent_attention(LatentStack(nx, self.ring), blk.aa).data
-                if cfg.enable_dr:
-                    nx = blk.dr_norm(x)
-                    x = x + trajectory_attention(LatentStack(nx, self.ring),
-                                                 self.ring, blk.dr).data
-                if cfg.enable_rg:
-                    x = rapid_glance(LatentStack(x, self.ring), blk.rg,
-                                     cfg.scan_strategy).data
-                if cfg.enable_air:
-                    nx = blk.air_norm(x)
-                    ns = LatentStack(nx, self.ring)
-                    scores = score_map(ns, text_emb, blk.smap)
-                    x = x + air_attention(ns, scores, self.air_cfg, blk.air).data
+        x = res_block(x, emb, blk.res)
+        if b > 1:                                                 # B whole rings
+            x = concat([x] * b, axis=0)
+        x = cross_attention(x, text_emb, None, blk.ca)
+        if not mode_2d:
+            if cfg.enable_aa:
+                nx = blk.aa_norm(x)
+                x = x + adjacent_attention(LatentStack(nx, self.ring), blk.aa).data
+            if cfg.enable_dr:
+                nx = blk.dr_norm(x)
+                x = x + trajectory_attention(LatentStack(nx, self.ring),
+                                             self.ring, blk.dr).data
+            if cfg.enable_rg:
+                x = rapid_glance(LatentStack(x, self.ring), blk.rg,
+                                 cfg.scan_strategy).data
+            if cfg.enable_air:
+                nx = blk.air_norm(x)
+                ns = LatentStack(nx, self.ring)
+                scores = score_map(ns, text_emb, blk.smap)
+                x = x + air_attention(ns, scores, self.air_cfg, blk.air).data
         x = self.head_norm(x).silu()
         out = conv3x3(x, self.head.w, self.head.b)
         return out.reshape(b, *view) if e.ndim == 2 else out
@@ -638,12 +631,12 @@ def ddim_sample(model: MvDenoiser, text_emb, null_emb, steps=50, guidance=7.5,
 def gradcheck_loss(seed=0):
     """The miniature model's eps-prediction loss at t=321, for grad_check.
 
-    Builds a 2-view, 4x4-latent, 8-channel, 1-block denoiser with every
-    cross-view operator, the fixed TEXT_DIM = 16 prompt width and D_STATE = 4
-    scan state, and one seeded noised batch. Returns (loss, params): calling
+    Builds a 2-view, 4x4-latent, 8-channel denoiser with every cross-view
+    operator, the fixed TEXT_DIM = 16 prompt width and D_STATE = 4 scan
+    state, and one seeded noised batch. Returns (loss, params): calling
     `loss()` runs a fresh forward pass and returns the scalar MSE.
     """
-    config = ModelConfig(f=2, latent_h=4, latent_w=4, channels=8, blocks=1)
+    config = ModelConfig(f=2, latent_h=4, latent_w=4, channels=8)
     model = MvDenoiser(config, seed=seed)
     rng = np.random.default_rng(seed)
     z0 = rng.standard_normal((config.f, LATENT_CHANNELS, config.latent_h,
@@ -684,7 +677,7 @@ def save_checkpoint(model: MvDenoiser, path, step=0, extra=None):
 
 
 def load_checkpoint(path):
-    """Rebuild the model from a checkpoint; any shape mismatch fails loudly."""
+    """Rebuild the model from a checkpoint; a mismatch or non-finite value fails."""
     mpath = os.path.join(path, _CKPT_MANIFEST)
     manifest = read_manifest(mpath, CheckpointError)
     saved = manifest.get("config")
@@ -704,6 +697,8 @@ def load_checkpoint(path):
     if flat.shape != (sum(sizes),):
         raise CheckpointError(f"{ppath}: shape {flat.shape}, the model has "
                               f"{sum(sizes)} parameter values")
-    for p, chunk in zip(params.values(), np.split(flat, np.cumsum(sizes)[:-1])):
+    for (name, p), chunk in zip(params.items(), np.split(flat, np.cumsum(sizes)[:-1])):
+        if not np.isfinite(chunk).all():
+            raise CheckpointError(f"{ppath}: parameter {name} holds non-finite values")
         p.data = chunk.reshape(p.data.shape)
     return model, manifest

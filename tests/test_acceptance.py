@@ -165,7 +165,7 @@ def test_criterion_6_diffusion_identities():
         rec = dn.ddim_step(zt, t, 0, eps, sched)
         ddim_err = max(ddim_err, float(np.max(np.abs(rec - z0))))
 
-    config = dn.ModelConfig(f=2, latent_h=4, latent_w=4, channels=8, blocks=1)
+    config = dn.ModelConfig(f=2, latent_h=4, latent_w=4, channels=8)
     model = dn.MvDenoiser(config, seed=0)
     text = dn.ToyTextEncoder().embed_prompt("a cube")
     batch = {"z0": z0, "text": text, "null": np.zeros_like(text)}

@@ -5,8 +5,8 @@ channel, which ModelConfig also refuses, gives a prediction that ignores its
 input.
 
 The space is f in 1-4, latent extents 1-12 (non-square included), channels
-2-8, blocks, each operator switch and each scan strategy. hypothesis draws
-it derandomized, so the examples are the same on every run.
+2-8, each operator switch and each scan strategy. hypothesis draws it
+derandomized, so the examples are the same on every run.
 """
 
 from dataclasses import asdict
@@ -30,7 +30,6 @@ SPACE = st.fixed_dictionaries({
     "latent_h": EXTENT,
     "latent_w": EXTENT,
     "channels": st.integers(2, 8),
-    "blocks": st.integers(1, 2),
     "enable_aa": st.booleans(),
     "enable_dr": st.booleans(),
     "enable_rg": st.booleans(),
@@ -89,12 +88,12 @@ def test_accepted_configs_run_and_refused_ones_cannot(checkpoint_dir, prompt, kw
 
 
 ONE_CHANNEL = {
-    "full-stack": dict(f=3, latent_h=4, latent_w=4, blocks=1),
-    "non-square-air-dropped": dict(f=2, latent_h=5, latent_w=7, blocks=2,
+    "full-stack": dict(f=3, latent_h=4, latent_w=4),
+    "non-square-air-dropped": dict(f=2, latent_h=5, latent_w=7,
                                    scan_strategy="row-major"),
-    "aa-only": dict(f=4, latent_h=8, latent_w=8, blocks=1, enable_dr=False,
+    "aa-only": dict(f=4, latent_h=8, latent_w=8, enable_dr=False,
                     enable_rg=False, enable_air=False),
-    "one-view-rg-only": dict(f=1, latent_h=3, latent_w=6, blocks=1,
+    "one-view-rg-only": dict(f=1, latent_h=3, latent_w=6,
                              enable_aa=False, enable_dr=False, enable_air=False,
                              scan_strategy="spatial-first-bidirectional"),
 }

@@ -251,3 +251,21 @@ class TestDatasetIO:
             save_mvt(tmp_path / name, np.zeros(shape))
             with pytest.raises(ShapeMismatchError, match=name):
                 load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name,value", [
+        ("images.mvt", np.nan), ("images.mvt", np.inf), ("images.mvt", -np.inf),
+        ("images.mvt", -1e-12), ("images.mvt", 1.0 + 1e-12), ("images.mvt", 7.0),
+        ("depths.mvt", np.nan), ("depths.mvt", -np.inf)])
+    def test_impossible_tensor_value(self, rset0, tmp_path, name, value):
+        """A pixel outside [0, 1] or NaN, or a NaN or -inf depth, is refused;
+        +inf is the background depth and loads."""
+        from mvring.tensor import load_mvt, save_mvt
+        save_dataset(rset0, tmp_path, seed=0)
+        arr = load_mvt(tmp_path / name)
+        arr[4, 10, 20] = value
+        save_mvt(tmp_path / name, arr)
+        with pytest.raises(DatasetError, match=name):
+            load_dataset(tmp_path)
+        arr[4, 10, 20] = np.inf if name == "depths.mvt" else 1.0
+        save_mvt(tmp_path / name, arr)
+        load_dataset(tmp_path)

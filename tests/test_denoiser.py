@@ -26,7 +26,7 @@ from mvring.tensor import (Tape, Tensor, bilinear_upsample2d, grad_check,
 
 
 def mini_config(**over):
-    base = dict(f=2, latent_h=4, latent_w=4, channels=8, blocks=1)
+    base = dict(f=2, latent_h=4, latent_w=4, channels=8)
     base.update(over)
     return ModelConfig(**base)
 
@@ -222,7 +222,7 @@ class TestDenoise:
         included, is jittered off its init, so every branch reaches the
         output."""
         model = _jittered(mini_config(f=3), seed=27)
-        blk, t = model.blocks[0], 321
+        blk, t = model.block, 321
         z, text = rng.standard_normal((3, 3, 4, 4)), rng.standard_normal(dn.TEXT_DIM)
 
         def norm(x, p):
@@ -288,8 +288,7 @@ class TestBatchedDenoise:
         ({}, {}),
         ({}, {"mode_2d": True}),
         ({"scan_strategy": "row-major"}, {}),
-        ({"blocks": 2}, {}),
-    ], ids=["full", "mode_2d", "row_major", "two_blocks"])
+    ], ids=["full", "mode_2d", "row_major"])
     def test_one_ring_under_many_prompts_matches_stacked_copies(self, over, kw,
                                                                 rng):
         """Prompt b's slice is the ring denoised under prompt b alone."""
@@ -306,7 +305,7 @@ class TestBatchedDenoise:
     def test_shared_ring_gradients_match_stacked_copies(self, rng):
         """Gradients through the shared trunk are the sum of the gradients
         of the single-prompt calls."""
-        model = _jittered(mini_config(f=3, blocks=2), seed=26)
+        model = _jittered(mini_config(f=3), seed=26)
         z = rng.standard_normal((3, 3, 4, 4))
         emb = rng.standard_normal((2, dn.TEXT_DIM))
         w = rng.standard_normal((2, 3, 3, 4, 4))
@@ -402,7 +401,7 @@ class TestCrossAttention:
         """The model's block parameters: no norm, only w_v and w_o."""
         model = MvDenoiser(mini_config(channels=self.C),
                            seed=seed)
-        ca = model.blocks[0].ca
+        ca = model.block.ca
         rng = np.random.default_rng(seed)
         ca.w_o.data = rng.standard_normal(ca.w_o.shape)
         # the oracle's queries, keys and norm are arbitrary: with one key the

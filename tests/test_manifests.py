@@ -5,7 +5,10 @@ Each manifest example replaces one manifest field with a value of another
 JSON type. The loader must then raise its typed error, or succeed with every
 field of the type the rest of the program reads it as. Each .mvt example
 rewrites some header fields and the payload length of a valid file; the
-reader must raise MvtError or return what the header describes.
+reader must raise MvtError or return what the header describes. Each
+tensor-value example sets one value of images.mvt, depths.mvt or params.mvt;
+the loader must refuse it exactly when no renderer or training run could
+have written it.
 """
 
 import dataclasses
@@ -108,6 +111,34 @@ def test_checkpoint_manifest_field_of_another_type(checkpoint_dir, data):
         v = getattr(model.config, fld.name)
         assert {"int": is_int, "bool": lambda x: isinstance(x, bool),
                 "float": is_number, "str": lambda x: isinstance(x, str)}[fld.type](v), fld
+
+
+VALUES = st.sampled_from([np.nan, np.inf, -np.inf, -0.5, 0.0, 0.5, 1.0, 7.0])
+POSSIBLE = {"images.mvt": lambda v: 0.0 <= v <= 1.0,
+            "depths.mvt": lambda v: v > -np.inf,          # +inf is background
+            "params.mvt": np.isfinite}
+
+
+@FUZZ
+@given(st.data())
+def test_tensor_value_is_refused_iff_impossible(dataset_dir, checkpoint_dir, data):
+    name = data.draw(st.sampled_from(sorted(POSSIBLE)))
+    value = data.draw(VALUES)
+    ck = name == "params.mvt"
+    root = checkpoint_dir if ck else dataset_dir
+    good = (root / name).read_bytes()
+    arr = load_mvt(root / name)
+    arr.reshape(-1)[data.draw(st.integers(0, arr.size - 1))] = value
+    load = load_checkpoint if ck else load_dataset
+    try:
+        save_mvt(root / name, arr)
+        if POSSIBLE[name](value):
+            load(root)
+        else:
+            with pytest.raises(CheckpointError if ck else DatasetError, match=name):
+                load(root)
+    finally:
+        (root / name).write_bytes(good)
 
 
 MVT_FIELDS = ("magic", "dtype", "ndim", "extents", "payload")

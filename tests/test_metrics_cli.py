@@ -267,6 +267,33 @@ class TestCliPipeline:
         assert "manifest" in capsys.readouterr().err
         assert not (tmp_path / "ck").exists()
 
+    @pytest.mark.parametrize("edit", ["nan_pixel", "pixel_above_one", "nan_depth"])
+    @pytest.mark.parametrize("cmd", ["train", "eval", "ablate"])
+    def test_impossible_dataset_values_are_io_errors(
+            self, dataset_dir, tmp_path, capsys, monkeypatch, cmd, edit):
+        """A NaN or out-of-range pixel, or a NaN depth, exits 3 before a step
+        trains or a sample is scored."""
+        import mvring.denoiser as dn
+        ds, out = tmp_path / "ds", tmp_path / "o"
+        shutil.copytree(dataset_dir, ds)
+        name = "depths.mvt" if edit.endswith("_depth") else "images.mvt"
+        arr = load_mvt(str(ds / name))
+        arr[3, 5, 7] = 7.0 if edit == "pixel_above_one" else np.nan
+        save_mvt(str(ds / name), arr)
+        steps = []
+        monkeypatch.setattr(dn, "training_step", lambda *a: steps.append(a))
+        if cmd == "eval":
+            sm = tmp_path / "s"
+            sm.mkdir()
+            save_mvt(str(sm / "latents.mvt"), np.zeros((12, 3, 8, 8)))
+            argv = ["eval", "--samples", str(sm), "--out", str(out)]
+        else:
+            argv = [cmd, "--out", str(out), "--steps", "1"]
+        assert main(argv + ["--dataset", str(ds)]) == 3
+        captured = capsys.readouterr()
+        assert name in captured.err and "consistency" not in captured.out
+        assert steps == [] and not out.exists()
+
     def test_malloc_thresholds_pinned_on_glibc(self):
         pinned = "mmap threshold 33554432 B, trim threshold 67108864 B"
         assert pin_malloc_thresholds() == (
@@ -329,10 +356,15 @@ class TestCliPipeline:
         ("--lr", "0"), ("--lr", "-1")])
     def test_bad_model_flags_are_config_errors(self, dataset_dir, tmp_path,
                                                capsys, flag, value):
-        assert main(["train", "--dataset", str(dataset_dir),
-                     "--out", str(tmp_path / "ck"), "--stack", "aa",
-                     "--steps", "3", flag, value]) == 2
-        assert f"{flag[2:]} must be" in capsys.readouterr().err
+        """--blocks and --lr are retired: the model is one block and the
+        learning rate is part of the fixed recipe, so argparse refuses
+        either flag, whatever its value."""
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--dataset", str(dataset_dir),
+                  "--out", str(tmp_path / "ck"), "--stack", "aa",
+                  "--steps", "3", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not (tmp_path / "ck").exists()
 
     @pytest.mark.parametrize("cmd", ["train", "ablate"])
@@ -344,10 +376,12 @@ class TestCliPipeline:
         assert not (tmp_path / "o").exists()
 
     def test_diverged_training_is_invariant_error(self, dataset_dir, tmp_path,
-                                                  capsys):
+                                                  capsys, monkeypatch):
+        from mvring.denoiser import ModelConfig
+        monkeypatch.setattr(ModelConfig, "lr", 1e300)
         with np.errstate(all="ignore"):
             assert main(["train", "--dataset", str(dataset_dir),
-                         "--out", str(tmp_path / "ck"), "--lr", "1e300",
+                         "--out", str(tmp_path / "ck"),
                          "--steps", "5", "--stack", "aa",
                          "--channels", "8"]) == 4
         assert "invariant violated" in capsys.readouterr().err
@@ -398,16 +432,18 @@ class TestCliPipeline:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("edit", [
-        "unknown_key", "no_config", "bad_value", "zero_blocks", "zero_d_state",
-        "unknown_scan_strategy", "p_2d_above_one", "zero_lr", "zero_f",
+        "unknown_key", "no_config", "bad_value", "retired_blocks", "zero_d_state",
+        "unknown_scan_strategy", "p_2d_above_one", "retired_lr", "zero_f",
         "zero_latent_h", "retired_guidance", "retired_params", "zero_text_dim",
         "fractional_f", "zero_T", "string_enable_aa", "param_names_int",
-        "param_names_mixed", "retired_heads_strides", "one_channel"])
+        "param_names_mixed", "retired_heads_strides", "one_channel", "nan_param",
+        "inf_param"])
     def test_bad_checkpoint_config_is_io_error(self, tmp_path, capsys, edit):
         """Configs that ModelConfig or the model it builds reject exit 3, as
         do checkpoints of the formats that had text-attention q/k and norm,
-        attention heads and AIR strides, the training recipe's p_2d, p_drop
-        and T, or the fixed widths text_dim and d_state in the config."""
+        attention heads and AIR strides, the training recipe's p_2d, p_drop,
+        T and lr, the block count, or the fixed widths text_dim and d_state
+        in the config. So do checkpoints whose parameters are not finite."""
         from mvring.denoiser import ModelConfig, MvDenoiser, save_checkpoint
         ck = tmp_path / "ck"
         save_checkpoint(MvDenoiser(ModelConfig(f=2, latent_h=4, latent_w=4,
@@ -418,16 +454,16 @@ class TestCliPipeline:
             config["warp_factor"] = 9
         elif edit == "bad_value":
             config["channels"] = 0
-        elif edit == "zero_blocks":
-            config["blocks"] = 0
+        elif edit == "retired_blocks":
+            config["blocks"] = 1                  # retired field, any value
         elif edit == "zero_d_state":
             config["d_state"] = 0                 # retired field, any value
         elif edit == "unknown_scan_strategy":
             config["scan_strategy"] = "zigzag"
         elif edit == "p_2d_above_one":
             config.update(p_2d=1.5, p_drop=0.1)   # retired fields, any value
-        elif edit == "zero_lr":
-            config["lr"] = 0.0
+        elif edit == "retired_lr":
+            config["lr"] = 2e-3                   # retired field, any value
         elif edit == "zero_f":
             config["f"] = 0
         elif edit == "zero_latent_h":
@@ -453,15 +489,23 @@ class TestCliPipeline:
             config.update(n_heads=1, tau=2, rho=4)
         elif edit == "one_channel":
             config["channels"] = 1
+        elif edit.endswith("_param"):
+            flat = load_mvt(str(ck / "params.mvt"))
+            flat[-1] = np.nan if edit == "nan_param" else np.inf
+            save_mvt(str(ck / "params.mvt"), flat)
         else:
             del manifest["config"]
         (ck / "checkpoint.json").write_text(json.dumps(manifest))
         assert main(["sample", "--checkpoint", str(ck), "--out",
                      str(tmp_path / "s"), "--prompt", "a cube"]) == 3
         err = capsys.readouterr().err
-        assert ("param_names" if edit.startswith("param_names") else "config") in err
-        named = {"zero_d_state": "'d_state'", "zero_text_dim": "'text_dim'",
-                 "zero_lr": "lr must be",
+        where = ("param_names" if edit.startswith("param_names") else
+                 "params.mvt" if edit.endswith("_param") else "config")
+        assert where in err
+        named = {"nan_param": "head.b holds non-finite values",
+                 "inf_param": "head.b holds non-finite values",
+                 "zero_d_state": "'d_state'", "zero_text_dim": "'text_dim'",
+                 "retired_blocks": "'blocks'", "retired_lr": "'lr'",
                  "unknown_scan_strategy": "unknown scan strategy",
                  "p_2d_above_one": "'p_2d'", "zero_T": "'T'",
                  "one_channel": "channels must be >= 2"}
@@ -784,11 +828,10 @@ class TestCliPipeline:
 # malformed or small valid value, on top of a tiny baseline run.
 NUMERIC_FLAGS = {
     "gen-data": ["--views", "--res", "--seed", "--elevation"],
-    "train": ["--steps", "--log-every", "--channels", "--blocks", "--seed",
-              "--stop-loss", "--lr"],
+    "train": ["--steps", "--log-every", "--channels", "--seed", "--stop-loss"],
     "sample": ["--steps", "--seed", "--guidance"],
-    "ablate": ["--steps", "--log-every", "--channels", "--blocks", "--seed",
-               "--stop-loss", "--lr", "--sample-steps", "--guidance"],
+    "ablate": ["--steps", "--log-every", "--channels", "--seed", "--stop-loss",
+               "--sample-steps", "--guidance"],
     "gradcheck": ["--max-entries", "--seed", "--tol", "--eps"],
 }
 FLAG_VALUES = ["nan", "inf", "-1", "0", "1e308", "", "1.5", "0.5", "1e-3",
@@ -811,6 +854,18 @@ def tiny_runs(tmp_path_factory):
                    "--sample-steps", "2", "--sample-seeds", "0"] + train,
         "gradcheck": ["gradcheck", "--max-entries", "1"],
     }
+
+
+def test_numeric_flags_list_every_numeric_flag():
+    """Every flag that argparse parses as int, float or a seed, plus
+    gen-data's --elevation, a number given as text."""
+    from mvring.cli import _seed, build_parser
+    commands = build_parser()._subparsers._group_actions[0].choices
+    typed = {cmd: {a.option_strings[0] for a in p._actions
+                   if a.type in (int, float, _seed) or a.dest == "elevation"}
+             for cmd, p in commands.items()}
+    assert {cmd: set(flags) for cmd, flags in NUMERIC_FLAGS.items()} == \
+        {cmd: flags for cmd, flags in typed.items() if flags}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
