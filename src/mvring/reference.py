@@ -23,7 +23,7 @@ from . import _kernel
 from .data import ORTHO_SPAN, view_basis
 from .geometry import ViewRing, delta_azimuth, trajectory_window
 from .scan import build_scan_order, selective_scan_sequential
-from .tensor import Tensor, _acc, _reverse_recurrence
+from .tensor import _acc, _result, _reverse_recurrence
 
 __all__ = [
     "softmax",
@@ -151,17 +151,18 @@ def linear_recurrence(a, u):
     from separate primitives."""
     if a.data.shape != u.data.shape:
         raise ValueError(f"recurrence shapes differ: {a.data.shape} vs {u.data.shape}")
-    h = _kernel.linrec_array(a.data, u.data)
+    ad, na, nu = a.data, a._node, u._node
+    h = _kernel.linrec_array(ad, u.data)
 
     def backward(g):
-        gh = _reverse_recurrence(a.data, g)
-        if u.requires_grad:
-            _acc(u, gh)
-        if a.requires_grad:
+        gh = _reverse_recurrence(ad, g)
+        if nu is not None:
+            _acc(nu, gh)
+        if na is not None:
             h_prev = np.concatenate([np.zeros_like(h[:1]), h[:-1]], axis=0)
-            _acc(a, gh * h_prev)
+            _acc(na, gh * h_prev)
 
-    return Tensor(h, _parents=(a, u), _backward=backward)
+    return _result(h, (na, nu), backward)
 
 
 # -- geometry and files ---------------------------------------------------------

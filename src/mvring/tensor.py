@@ -6,12 +6,18 @@ multiplication, exp/sigmoid/softplus/silu, softmax, channel layer norm,
 sums, reshape/transpose/concat, slicing and index-array gathers, 3x3
 convolution, bilinear upsampling, and the selective-SSM recurrence beneath
 the scan as one node with a hand-written backward. Means and average
-pooling are composed from these. `backward()` needs a scalar output, runs
-the closures in a fixed topological order and consumes the graph as it
-goes: each interior node's gradient, closure and parent links are dropped
-once used, leaves keep their gradients, and a second backward through the
-freed graph raises RuntimeError. Inside `no_grad()` no graph is recorded:
-results hold no parents and no backward closure.
+pooling are composed from these.
+
+The graph is made of `_Node`s, not of tensors. A tensor that requires grad
+owns one node; a node holds the gradient, the nodes of the parents that
+require grad, and the backward closure. Each closure keeps only the arrays
+its backward reads, so the forward leaves live only those arrays: a
+tensor's own data is freed with the tensor unless some backward reads it.
+`backward()` needs a scalar output, runs the closures in a fixed
+topological order and consumes the graph as it goes: each interior node's
+gradient, closure and parent links are dropped once used, leaves keep their
+gradients, and a second backward through the freed graph raises
+RuntimeError. Inside `no_grad()` no graph is recorded: results own no node.
 """
 
 from __future__ import annotations
@@ -87,6 +93,19 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+class _Node:
+    """One vertex of the autodiff graph: the gradient accumulated so far,
+    the nodes of the parents that require grad, and the closure that passes
+    this node's gradient on to them (None on a leaf)."""
+
+    __slots__ = ("grad", "_parents", "_backward")
+
+    def __init__(self, parents=(), backward=None):
+        self.grad = None
+        self._parents = parents
+        self._backward = backward
+
+
 def _acc(node, g):
     """Accumulate a gradient contribution out of place. `g` may be a view of
     another node's gradient, so no gradient array is ever written to."""
@@ -98,28 +117,56 @@ def _consumed(g):
     raise RuntimeError("backward through a graph that an earlier backward freed")
 
 
-class Tensor:
-    """A dense N-d array node in a dynamic autodiff graph.
+def _toposort(root):
+    """Nodes reachable from `root`, each after all of its parents."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        # reversed so parents are visited left-to-right (fixed order)
+        for p in reversed(node._parents):
+            if id(p) not in seen:
+                stack.append((p, False))
+    return order
 
-    An op builds its output as `Tensor(y, _parents=..., _backward=backward)`,
-    where `backward(g)` passes the output's gradient `g` to each parent that
-    requires grad through `_acc`. Closures capture arrays and parent nodes,
-    never their own output node: that would make every graph a reference
-    cycle. The constructor keeps `_parents` and `_backward` only when the
-    output requires grad.
+
+def _result(y, parents, backward):
+    """The output tensor of an op whose inputs own the nodes `parents` (None
+    for an input that needs no grad). It gets a node only if some parent
+    requires grad and a graph is being recorded."""
+    out = Tensor(y)
+    if _grad_enabled:
+        parents = tuple(p for p in parents if p is not None)
+        if parents:
+            out._node = _Node(parents, backward)
+    return out
+
+
+class Tensor:
+    """A dense N-d array, plus its graph node when it requires grad.
+
+    An op captures its inputs' nodes (`x._node`, None when `x` needs no
+    grad) and the arrays its backward reads, and returns
+    `_result(y, nodes, backward)`, where `backward(g)` passes the output's
+    gradient `g` to each non-None parent node through `_acc`. A closure never
+    captures a Tensor, so it pins no array it does not read, and never its
+    own output node, which would make every graph a reference cycle.
+    `requires_grad`, `grad`, `_parents` and `_backward` read the node.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "_node")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False):
         if isinstance(data, Tensor):
             raise TypeError("wrap raw array data, not another Tensor")
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = requires_grad or (
-            _grad_enabled and any(p.requires_grad for p in _parents))
-        self._parents = _parents if self.requires_grad else ()
-        self._backward = _backward if self.requires_grad else None
+        self._node = _Node() if requires_grad else None
 
     # -- basic introspection -------------------------------------------------
 
@@ -136,22 +183,25 @@ class Tensor:
 
     # -- graph machinery -----------------------------------------------------
 
-    def _toposort(self):
-        order, seen, stack = [], set(), [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            # reversed so parents are visited left-to-right (fixed order)
-            for p in reversed(node._parents):
-                if id(p) not in seen:
-                    stack.append((p, False))
-        return order
+    @property
+    def requires_grad(self):
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self._node.grad = g
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
 
     def backward(self):
         """Accumulate gradients of this scalar tensor into the graph's leaves,
@@ -167,10 +217,10 @@ class Tensor:
             raise RuntimeError("backward on a tensor that requires no grad")
         if self.data.size != 1:
             raise RuntimeError("backward needs a scalar output")
-        order = self._toposort()
+        order = _toposort(self._node)
         if any(node._backward is _consumed for node in order):
             _consumed(None)
-        _acc(self, np.ones_like(self.data))
+        _acc(self._node, np.ones_like(self.data))
         while order:
             node = order.pop()
             if node._backward is not None:
@@ -178,7 +228,8 @@ class Tensor:
                 node.grad, node._backward, node._parents = None, _consumed, ()
 
     def zero_grad(self):
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     def grad_array(self):
         """Gradient as an array, zeros if this leaf was never reached."""
@@ -193,29 +244,34 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
+        na, nb = self._node, other._node
+        sa, sb = self.data.shape, other.data.shape
 
         def backward(g):
-            if self.requires_grad:
-                _acc(self, _unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                _acc(other, _unbroadcast(g, other.data.shape))
+            if na is not None:
+                _acc(na, _unbroadcast(g, sa))
+            if nb is not None:
+                _acc(nb, _unbroadcast(g, sb))
 
-        return Tensor(self.data + other.data, _parents=(self, other),
-                      _backward=backward)
+        return _result(self.data + other.data, (na, nb), backward)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = self._coerce(other)
+        na, nb = self._node, other._node
+        sa, sb = self.data.shape, other.data.shape
+        # each factor's gradient reads only the other factor
+        a = self.data if nb is not None else None
+        b = other.data if na is not None else None
 
         def backward(g):
-            if self.requires_grad:
-                _acc(self, _unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad:
-                _acc(other, _unbroadcast(g * self.data, other.data.shape))
+            if na is not None:
+                _acc(na, _unbroadcast(g * b, sa))
+            if nb is not None:
+                _acc(nb, _unbroadcast(g * a, sb))
 
-        return Tensor(self.data * other.data, _parents=(self, other),
-                      _backward=backward)
+        return _result(self.data * other.data, (na, nb), backward)
 
     __rmul__ = __mul__
 
@@ -229,23 +285,25 @@ class Tensor:
 
     def exp(self):
         y = np.exp(self.data)
+        n = self._node
 
         def backward(g):
-            _acc(self, g * y)
+            _acc(n, g * y)
 
-        return Tensor(y, _parents=(self,), _backward=backward)
+        return _result(y, (n,), backward)
 
     def sigmoid(self):
         y = _sigmoid(self.data)
+        n = self._node
 
         def backward(g):
-            _acc(self, g * (y * (1.0 - y)))
+            _acc(n, g * (y * (1.0 - y)))
 
-        return Tensor(y, _parents=(self,), _backward=backward)
+        return _result(y, (n,), backward)
 
     def softplus(self):
         # max(x, 0) + log1p(exp(-|x|)): np.logaddexp(0, x) is ~8x slower
-        x = self.data
+        x, n = self.data, self._node
         y = np.abs(x.reshape(-1))
         np.negative(y, out=y)
         np.exp(y, out=y)
@@ -253,28 +311,30 @@ class Tensor:
         y += np.maximum(x.reshape(-1), 0)
 
         def backward(g):
-            _acc(self, g * _sigmoid(x))
+            _acc(n, g * _sigmoid(x))
 
-        return Tensor(y.reshape(x.shape), _parents=(self,), _backward=backward)
+        return _result(y.reshape(x.shape), (n,), backward)
 
     def silu(self):
-        x = self.data
+        x, n = self.data, self._node
         sig = _sigmoid(x)
 
         def backward(g):
-            _acc(self, g * (sig * (1.0 + x * (1.0 - sig))))
+            _acc(n, g * (sig * (1.0 + x * (1.0 - sig))))
 
-        return Tensor(x * sig, _parents=(self,), _backward=backward)
+        return _result(x * sig, (n,), backward)
 
     # -- reductions ------------------------------------------------------------
 
     def sum(self, axis=None):
+        n, shape = self._node, self.data.shape
+
         def backward(g):
             if axis is not None:
                 g = np.expand_dims(g, axis)
-            _acc(self, np.broadcast_to(g, self.data.shape).copy())
+            _acc(n, np.broadcast_to(g, shape).copy())
 
-        return Tensor(self.data.sum(axis=axis), _parents=(self,), _backward=backward)
+        return _result(self.data.sum(axis=axis), (n,), backward)
 
     def mean(self, axis=None):
         n = self.data.size if axis is None else np.prod(
@@ -286,21 +346,22 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        src_shape = self.data.shape
+        n, src_shape = self._node, self.data.shape
 
         def backward(g):
-            _acc(self, g.reshape(src_shape))
+            _acc(n, g.reshape(src_shape))
 
-        return Tensor(self.data.reshape(shape), _parents=(self,), _backward=backward)
+        return _result(self.data.reshape(shape), (n,), backward)
 
     def transpose(self, axes):
         axes = tuple(axes)
         inv = tuple(np.argsort(axes))
+        n = self._node
 
         def backward(g):
-            _acc(self, g.transpose(inv))
+            _acc(n, g.transpose(inv))
 
-        return Tensor(self.data.transpose(axes), _parents=(self,), _backward=backward)
+        return _result(self.data.transpose(axes), (n,), backward)
 
     def swap_last2(self):
         axes = list(range(self.ndim))
@@ -313,12 +374,14 @@ class Tensor:
         The backward pass assigns the output gradient into place, so an
         index that repeats an entry would keep only one of its gradients.
         """
-        def backward(g):
-            gx = np.zeros_like(self.data)
-            gx[idx] = g
-            _acc(self, gx)
+        n, shape = self._node, self.data.shape
 
-        return Tensor(self.data[idx], _parents=(self,), _backward=backward)
+        def backward(g):
+            gx = np.zeros(shape)
+            gx[idx] = g
+            _acc(n, gx)
+
+        return _result(self.data[idx], (n,), backward)
 
 
 # -- construction helpers ------------------------------------------------------
@@ -326,17 +389,18 @@ class Tensor:
 
 def concat(tensors, axis=0):
     tensors = list(tensors)
+    nodes = [t._node for t in tensors]
     offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if n is not None:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
-                _acc(t, g[tuple(sl)])
+                _acc(n, g[tuple(sl)])
 
-    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                  _parents=tuple(tensors), _backward=backward)
+    return _result(np.concatenate([t.data for t in tensors], axis=axis),
+                   nodes, backward)
 
 
 def matmul(a, b):
@@ -346,43 +410,46 @@ def matmul(a, b):
             f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
     if a.ndim > 2 and b.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]:
         raise ValueError("matmul batch dims must match unless one side is 2-D")
+    na, nb, ad, bd = a._node, b._node, a.data, b.data
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            if ga.ndim > a.ndim:
-                ga = ga.sum(axis=tuple(range(ga.ndim - a.ndim)))
-            _acc(a, ga)
-        if b.requires_grad:
-            if b.ndim == 2 and a.ndim > 2:
-                k = a.data.shape[-1]
+        if na is not None:
+            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+            if ga.ndim > ad.ndim:
+                ga = ga.sum(axis=tuple(range(ga.ndim - ad.ndim)))
+            _acc(na, ga)
+        if nb is not None:
+            if bd.ndim == 2 and ad.ndim > 2:
+                k = ad.shape[-1]
                 n = g.shape[-1]
-                gb = np.matmul(a.data.reshape(-1, k).T, g.reshape(-1, n))
+                gb = np.matmul(ad.reshape(-1, k).T, g.reshape(-1, n))
             else:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _acc(b, gb)
+                gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+            _acc(nb, gb)
 
-    return Tensor(np.matmul(a.data, b.data), _parents=(a, b), _backward=backward)
+    return _result(np.matmul(ad, bd), (na, nb), backward)
 
 
 def softmax(x, scale=1.0, bias=None):
     """Numerically stable softmax of x * scale + bias along the last axis;
     rows sum to 1. `bias` is a constant additive array (0 keeps an entry,
-    large negative removes it) and receives no gradient."""
+    large negative removes it) and receives no gradient. The backward reads
+    the output only, so the logits are freed with their tensor."""
     y = x.data * scale
     if bias is not None:
         y += bias
     y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
+    n = x._node
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
         gx = y * (g - dot)
         gx *= scale
-        _acc(x, gx)
+        _acc(n, gx)
 
-    return Tensor(y, _parents=(x,), _backward=backward)
+    return _result(y, (n,), backward)
 
 
 def layer_norm(x, gain, bias):
@@ -394,20 +461,21 @@ def layer_norm(x, gain, bias):
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     gc = gain.data.reshape(-1, 1, 1)
+    nx, ng, nb = x._node, gain._node, bias._node
 
     def backward(g):
-        if gain.requires_grad:
-            _acc(gain, (g * xhat).sum(axis=(0, 2, 3)))
-        if bias.requires_grad:
-            _acc(bias, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
+        if ng is not None:
+            _acc(ng, (g * xhat).sum(axis=(0, 2, 3)))
+        if nb is not None:
+            _acc(nb, g.sum(axis=(0, 2, 3)))
+        if nx is not None:
             gx = g * gc
             m1 = gx.mean(axis=1, keepdims=True)
             m2 = (gx * xhat).mean(axis=1, keepdims=True)
-            _acc(x, inv * (gx - m1 - xhat * m2))
+            _acc(nx, inv * (gx - m1 - xhat * m2))
 
-    return Tensor(xhat * gc + bias.data.reshape(-1, 1, 1),
-                  _parents=(x, gain, bias), _backward=backward)
+    return _result(xhat * gc + bias.data.reshape(-1, 1, 1), (nx, ng, nb),
+                   backward)
 
 
 def avg_pool2d(x, stride):
@@ -447,11 +515,12 @@ def bilinear_upsample2d(x, factor):
     uh = _upsample_matrix(h, factor)
     uw = _upsample_matrix(w, factor)
     y = np.matmul(uh, np.matmul(x.data, uw.T))
+    n = x._node
 
     def backward(g):
-        _acc(x, np.matmul(uh.T, np.matmul(g, uw)))
+        _acc(n, np.matmul(uh.T, np.matmul(g, uw)))
 
-    return Tensor(y, _parents=(x,), _backward=backward)
+    return _result(y, (n,), backward)
 
 
 def _im2col3x3(a):
@@ -472,8 +541,9 @@ def conv3x3(x, w, b):
     plus bias b [Cout], as one node.
 
     Column block k of w weighs the input at offset (k//3 - 1, k%3 - 1) from
-    each output pixel. The input gradient is the transposed convolution: the
-    output gradient's columns times the kernel flipped in space, with its
+    each output pixel. The weight gradient reads the input's column buffer,
+    which the node keeps. The input gradient is the transposed convolution:
+    the output gradient's columns times the kernel flipped in space, with its
     channel axes swapped.
     """
     n, cin, h, wd = x.data.shape
@@ -481,22 +551,23 @@ def conv3x3(x, w, b):
     if w.data.shape != (cout, 9 * cin) or b.data.shape != (cout,):
         raise ValueError(f"conv3x3 of {x.data.shape} needs w [Cout, {9 * cin}] "
                          f"and b [Cout], got {w.data.shape} and {b.data.shape}")
-    cols = _im2col3x3(x.data)
-    y = np.matmul(w.data, cols).reshape(n, cout, h, wd)
+    cols, wdata = _im2col3x3(x.data), w.data
+    y = np.matmul(wdata, cols).reshape(n, cout, h, wd)
     y += b.data.reshape(1, cout, 1, 1)
+    nx, nw, nb = x._node, w._node, b._node
 
     def backward(g):
-        if w.requires_grad:
+        if nw is not None:
             g3 = g.reshape(n, cout, h * wd)
-            _acc(w, np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0))
-        if b.requires_grad:
-            _acc(b, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            wt = w.data.reshape(cout, 9, cin)[:, ::-1].transpose(2, 1, 0)
+            _acc(nw, np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0))
+        if nb is not None:
+            _acc(nb, g.sum(axis=(0, 2, 3)))
+        if nx is not None:
+            wt = wdata.reshape(cout, 9, cin)[:, ::-1].transpose(2, 1, 0)
             gx = np.matmul(wt.reshape(cin, 9 * cout), _im2col3x3(g))
-            _acc(x, gx.reshape(n, cin, h, wd))
+            _acc(nx, gx.reshape(n, cin, h, wd))
 
-    return Tensor(y, _parents=(x, w, b), _backward=backward)
+    return _result(y, (nx, nw, nb), backward)
 
 
 def _reverse_recurrence(a, g):
@@ -520,28 +591,31 @@ def selective_recurrence(delta, dx, b, c, a):
     # order="C": the transposed `at` would otherwise lay the state out N-innermost
     abar = np.einsum("lmd,nd->lmnd", delta.data, at, order="C")
     np.exp(abar, out=abar)                                    # [L, M, N, D]
-    u = np.einsum("lmd,lmn->lmnd", dx.data, b.data)
+    dd, dxd, bd, cd = delta.data, dx.data, b.data, c.data
+    u = np.einsum("lmd,lmn->lmnd", dxd, bd)
     h = _kernel.linrec_array(abar, u)
-    y = np.einsum("lmnd,lmn->lmd", h, c.data)
+    y = np.einsum("lmnd,lmn->lmd", h, cd)
+    nodes = (delta._node, dx._node, b._node, c._node, a._node)
 
     def backward(g):
-        if c.requires_grad:
-            _acc(c, np.einsum("lmnd,lmd->lmn", h, g))
-        gh = _reverse_recurrence(abar, np.einsum("lmd,lmn->lmnd", g, c.data))
-        if dx.requires_grad:
-            _acc(dx, np.einsum("lmnd,lmn->lmd", gh, b.data))
-        if b.requires_grad:
-            _acc(b, np.einsum("lmnd,lmd->lmn", gh, dx.data))
-        if delta.requires_grad or a.requires_grad:
+        ndelta, ndx, nb, nc, na = nodes
+        if nc is not None:
+            _acc(nc, np.einsum("lmnd,lmd->lmn", h, g))
+        gh = _reverse_recurrence(abar, np.einsum("lmd,lmn->lmnd", g, cd))
+        if ndx is not None:
+            _acc(ndx, np.einsum("lmnd,lmn->lmd", gh, bd))
+        if nb is not None:
+            _acc(nb, np.einsum("lmnd,lmd->lmn", gh, dxd))
+        if ndelta is not None or na is not None:
             gz = np.zeros_like(h)                              # d loss / d(delta*a)
             np.multiply(gh[1:], h[:-1], out=gz[1:])
             gz *= abar
-            if delta.requires_grad:
-                _acc(delta, np.einsum("lmnd,nd->lmd", gz, at))
-            if a.requires_grad:
-                _acc(a, np.einsum("lmnd,lmd->dn", gz, delta.data))
+            if ndelta is not None:
+                _acc(ndelta, np.einsum("lmnd,nd->lmd", gz, at))
+            if na is not None:
+                _acc(na, np.einsum("lmnd,lmd->dn", gz, dd))
 
-    return Tensor(y, _parents=(delta, dx, b, c, a), _backward=backward)
+    return _result(y, nodes, backward)
 
 
 # -- parameter tape ---------------------------------------------------------------

@@ -368,6 +368,21 @@ class TestBatchedDenoise:
             tracemalloc.stop()
         assert peak <= 1.25 * live, (peak, live)
 
+    def test_forward_leaves_only_what_backward_reads(self, prompt_emb, rng):
+        # each node keeps the arrays its backward reads, not its parents'
+        # data: no softmax logits, add or concat operands, norm inputs
+        model = MvDenoiser(ModelConfig(), seed=0)
+        z = rng.standard_normal((12, 3, 8, 8))
+        model.denoise(z, 500, prompt_emb)  # fills the lazy per-shape caches
+        tracemalloc.start()
+        try:
+            out = model.denoise(z, 500, prompt_emb)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert live <= 14e6, live
+
 
 def np_cross_attention(x, e, gain, bias, w_q, w_k, w_v, w_o):
     """Pre-normed attention of each ring's spatial tokens onto its one

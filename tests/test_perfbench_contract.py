@@ -99,3 +99,14 @@ def test_train_full_set_up_trains_a_step(mv, tmp_path):
     loss = mv.denoiser.training_step(env["batch"], model, model.sched,
                                      np.random.default_rng(workloads.TRAIN_RNG_SEED))
     assert np.isfinite(loss)
+
+
+@pytest.mark.parametrize("name, nodes", [("train-full", 178), ("train-aa", 65)])
+def test_graph_walker_counts_the_denoise_graph(mv, tmp_path, name, nodes):
+    """perfbench's tensor.graph_nodes walks _parents and _backward from the
+    denoise output of its own set-up; the walk must still see every node."""
+    env = workloads.set_up_once(mv, workloads.WORKLOADS[name], 0,
+                                str(tmp_path), 0)
+    model, batch = env["model"], env["batch"]
+    probe = model.denoise(batch["z0"], model.sched.T // 2, batch["text"])
+    assert layers.graph_nodes(probe) == nodes

@@ -3,6 +3,7 @@
 import math
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -472,6 +473,37 @@ class TestSoftplus:
             self.assert_near_logaddexp(np.array(v, dtype=dtype))
 
 
+class TestForwardFreesUnreadArrays:
+    """A node keeps only the arrays its backward reads: an operand that no
+    backward reads is freed with its tensor while the graph lives on."""
+
+    def test_unread_operands_are_freed_before_backward(self, rng):
+        q = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        k = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        w = rng.standard_normal((3, 5))
+        idx = np.array([2, 0, 1])
+
+        logits = matmul(q, k)          # softmax's backward reads its output
+        summand = x * 3.0              # add's backward reads no operand
+        gathered = x * 2.0             # a gather's backward reads the shape
+        freed = [weakref.ref(t.data) for t in (logits, summand, gathered)]
+        loss = ((softmax(logits) + summand) * Tensor(w)).sum() \
+            + (gathered[idx] * Tensor(w)).sum()
+        del logits, summand, gathered
+        assert [r() for r in freed] == [None, None, None]
+
+        loss.backward()
+        s = np.exp(q.data @ k.data)
+        s /= s.sum(axis=-1, keepdims=True)
+        gl = s * (w - (w * s).sum(axis=-1, keepdims=True))
+        gx = 3.0 * w
+        gx[idx] += 2.0 * w
+        assert np.allclose(q.grad, gl @ k.data.T, rtol=1e-12, atol=1e-14)
+        assert np.allclose(k.grad, q.data.T @ gl, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(x.grad, gx)
+
+
 class TestNoGrad:
     def test_records_no_graph(self):
         x = Tensor(np.array([0.5, -2.0]), requires_grad=True)
@@ -482,7 +514,7 @@ class TestNoGrad:
         assert y._parents == () and y._backward is None
         assert leaf.requires_grad  # explicit leaves keep the flag
         z = x * x
-        assert z.requires_grad and z._parents == (x, x)
+        assert z.requires_grad and z._parents == (x._node, x._node)
 
     def test_values_match_graph_mode(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
