@@ -122,11 +122,11 @@ def _parse_entries(flag, text, parse):
     return out
 
 
-def _train_one(rset, manifest, args, config, seed):
+def _train_one(rset, manifest, args, config, log_every):
     batch = _training_batch(rset, manifest)
-    model = dn.MvDenoiser(config, seed=seed)
-    history = dn.train_loop(batch, model, seed=seed, max_steps=args.steps,
-                            stop_loss=args.stop_loss, log_every=args.log_every)
+    model = dn.MvDenoiser(config, seed=args.seed)
+    history = dn.train_loop(batch, model, seed=args.seed, max_steps=args.steps,
+                            stop_loss=args.stop_loss, log_every=log_every)
     return model, batch, history
 
 
@@ -178,7 +178,7 @@ def cmd_gen_data(args):
 def cmd_train(args):
     rset, manifest = dat.load_dataset(args.dataset)
     config = _build_config(manifest, args, parse_stack(args.stack), args.scan)
-    model, batch, history = _train_one(rset, manifest, args, config, args.seed)
+    model, batch, history = _train_one(rset, manifest, args, config, args.log_every)
     stack = model.config.stack
     run_id = f"train__{stack}__{args.scan}__s{args.seed}"
     rows = [_csv_row(run_id, stack, args.scan, args.seed, step=s, train_loss=ma)
@@ -287,8 +287,9 @@ def cmd_ablate(args):
         for scan, config in zip(scans, stack_configs):
             # only rg reads the scan strategy, so an rg-free stack trains once
             if trained is None or config.enable_rg:
+                # only the final row is read, and train_loop always logs it
                 model, batch, history = _train_one(rset, manifest, args, config,
-                                                   args.seed)
+                                                   args.steps)
                 samples = {}
                 for s in sample_seeds:
                     z = _sample_stack(model, batch, args.sample_steps,
@@ -338,7 +339,6 @@ def _add_train_args(p):
                    help="max optimisation steps")
     p.add_argument("--stop-loss", type=float, default=0.04,
                    help="early stop once the 50-step loss average dips below")
-    p.add_argument("--log-every", type=int, default=200)
     p.add_argument("--channels", type=int, default=16)
     p.add_argument("--seed", type=_seed, default=0, help="training seed")
 
@@ -366,6 +366,7 @@ def build_parser():
     p.add_argument("--scan", default="spiral-bidirectional",
                    help="scan strategy: " + ", ".join(SCAN_STRATEGIES))
     _add_train_args(p)
+    p.add_argument("--log-every", type=int, default=200)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("sample", help="DDIM-sample views from a checkpoint")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -236,18 +236,10 @@ def ground_truth_correspondence(rset: RenderedSet, i, j) -> Correspondence:
 def save_dataset(rset: RenderedSet, path, seed):
     """Write manifest.json, images.mvt [f, H, W, 3] and depths.mvt [f, H, W]."""
     os.makedirs(path, exist_ok=True)
-    ring = rset.ring
     save_mvt(os.path.join(path, IMAGES_NAME), rset.images)
     save_mvt(os.path.join(path, DEPTHS_NAME), rset.depths)
     write_manifest(os.path.join(path, MANIFEST_NAME), {
-        "version": MANIFEST_VERSION,
-        "f": ring.f,
-        "W": ring.W,
-        "H": ring.H,
-        "elevation_deg": ring.elevation_deg,
-        "distance": ring.distance,
-        "seed": int(seed),
-    })
+        "version": MANIFEST_VERSION, **asdict(rset.ring), "seed": int(seed)})
 
 
 def write_manifest(path, payload):

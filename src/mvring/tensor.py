@@ -404,20 +404,17 @@ def concat(tensors, axis=0):
 
 
 def matmul(a, b):
-    """a[..., m, k] @ b[..., k, n]; batch dims must match, or either side 2-D."""
+    """a[..., m, k] @ b[..., k, n]; b is 2-D or has a's batch dims."""
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(
             f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-    if a.ndim > 2 and b.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]:
-        raise ValueError("matmul batch dims must match unless one side is 2-D")
+    if b.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]:
+        raise ValueError(f"matmul batch dims differ: {a.data.shape} @ {b.data.shape}")
     na, nb, ad, bd = a._node, b._node, a.data, b.data
 
     def backward(g):
         if na is not None:
-            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-            if ga.ndim > ad.ndim:
-                ga = ga.sum(axis=tuple(range(ga.ndim - ad.ndim)))
-            _acc(na, ga)
+            _acc(na, np.matmul(g, np.swapaxes(bd, -1, -2)))
         if nb is not None:
             if bd.ndim == 2 and ad.ndim > 2:
                 k = ad.shape[-1]

@@ -2,13 +2,12 @@
 no exported name that only tests read, no class member that the program
 does not read.
 
-`__init__.py` is left out: it only re-exports. A module-level `_name` counts
-as used when any module of the package reads it, by name, as an attribute or
-through an import. A name in a module's `__all__` counts as reached when
-program code reads it outside its own definition: a package module or one
-of perfbench's scripts. `reference.py` holds the oracles the tests check the
-program against, so only tests read its exports, and no other package
-module may import it.
+A module-level `_name` counts as used when any module of the package reads
+it, by name, as an attribute or through an import. A name in a module's
+`__all__` counts as reached when program code reads it outside its own
+definition: a package module or one of perfbench's scripts. `reference.py`
+holds the oracles the tests check the program against, so only tests read
+its exports, and no other package module may import it.
 """
 
 import ast
@@ -17,7 +16,7 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mvring"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 TREES = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
 PERFBENCH_TREES = [ast.parse(p.read_text(encoding="utf-8"))
                    for p in sorted((SRC.parents[1] / "perfbench").glob("*.py"))

@@ -75,6 +75,14 @@ def checkpoint_dir(tmp_path_factory):
     return path
 
 
+def test_dataset_manifest_holds_the_ring_fields(dataset_dir):
+    """save_dataset writes what load_dataset reads: the ring's fields plus
+    the version and the scene seed."""
+    keys = json.loads((dataset_dir / "manifest.json").read_text()).keys()
+    assert set(keys) == {f.name for f in dataclasses.fields(ViewRing)} | \
+        {"version", "seed"}
+
+
 @FUZZ
 @given(st.data())
 def test_dataset_manifest_field_of_another_type(dataset_dir, data):

@@ -328,10 +328,9 @@ class TestCliPipeline:
         assert "max_steps and log_every must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "ck").exists()
 
-    @pytest.mark.parametrize("cmd", ["train", "ablate"])
     def test_log_every_below_one_is_config_error(self, dataset_dir, tmp_path,
-                                                 capsys, cmd):
-        assert main([cmd, "--dataset", str(dataset_dir),
+                                                 capsys):
+        assert main(["train", "--dataset", str(dataset_dir),
                      "--out", str(tmp_path / "o"), "--log-every", "0"]) == 2
         assert "max_steps and log_every must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -353,14 +352,16 @@ class TestCliPipeline:
 
     @pytest.mark.parametrize("flag,value", [
         ("--blocks", "0"), ("--blocks", "-1"), ("--lr", "nan"), ("--lr", "inf"),
-        ("--lr", "0"), ("--lr", "-1")])
+        ("--lr", "0"), ("--lr", "-1"), ("--log-every", "5")])
     def test_bad_model_flags_are_config_errors(self, dataset_dir, tmp_path,
                                                capsys, flag, value):
         """--blocks and --lr are retired: the model is one block and the
-        learning rate is part of the fixed recipe, so argparse refuses
-        either flag, whatever its value."""
+        learning rate is part of the fixed recipe. ablate's --log-every is
+        retired too: ablate reads only the final row, which train_loop
+        always logs. So argparse refuses each flag, whatever its value."""
+        cmd = "ablate" if flag == "--log-every" else "train"
         with pytest.raises(SystemExit) as exc:
-            main(["train", "--dataset", str(dataset_dir),
+            main([cmd, "--dataset", str(dataset_dir),
                   "--out", str(tmp_path / "ck"), "--stack", "aa",
                   "--steps", "3", flag, value])
         assert exc.value.code == 2
@@ -629,8 +630,7 @@ class TestCliPipeline:
         ds, ck, out = tmp_path / "ds", tmp_path / "ck", tmp_path / "out"
         assert main(["gen-data", "--out", str(ds), "--views", "3",
                      "--res", "16"]) == 0
-        train = ["--dataset", str(ds), "--steps", "5", "--channels", "4",
-                 "--log-every", "5"]
+        train = ["--dataset", str(ds), "--steps", "5", "--channels", "4"]
         if cmd == "sample":
             assert main(["train", "--out", str(ck)] + train) == 0
             argv = ["sample", "--checkpoint", str(ck), "--steps", "2"]
@@ -655,7 +655,7 @@ class TestCliPipeline:
         monkeypatch.setattr(dn, "ddim_sample", second_stack_nan)
         out = tmp_path / "abl"
         assert main(["ablate", "--dataset", str(dataset_dir), "--out", str(out),
-                     "--stacks", "none,aa", "--steps", "2", "--log-every", "2",
+                     "--stacks", "none,aa", "--steps", "2",
                      "--channels", "4", "--sample-steps", "2",
                      "--sample-seeds", "0"]) == 4
         assert calls == ["none", "aa"]
@@ -778,7 +778,7 @@ class TestCliPipeline:
         out = tmp_path / "abl"
         assert main(["ablate", "--dataset", str(dataset_dir), "--out", str(out),
                      "--stacks", "none,aa", "--steps", "20", "--stop-loss", "0",
-                     "--log-every", "10", "--channels", "8",
+                     "--channels", "8",
                      "--sample-steps", "2", "--sample-seeds", "0"]) == 0
         rows = (out / "ablation.csv").read_text().splitlines()
         assert rows[0] == CSV_HEADER
@@ -805,7 +805,7 @@ class TestCliPipeline:
         assert main(["ablate", "--dataset", str(dataset_dir), "--out", str(out),
                      "--stacks", "aa,rg", "--scans",
                      "spiral-bidirectional,row-major", "--steps", "5",
-                     "--stop-loss", "0", "--log-every", "5", "--channels", "8",
+                     "--stop-loss", "0", "--channels", "8",
                      "--sample-steps", "2", "--sample-seeds", "0,1"]) == 0
         assert trained == ["aa", "rg", "rg"]
         rows = (out / "ablation.csv").read_text().splitlines()[1:]
@@ -830,8 +830,8 @@ NUMERIC_FLAGS = {
     "gen-data": ["--views", "--res", "--seed", "--elevation"],
     "train": ["--steps", "--log-every", "--channels", "--seed", "--stop-loss"],
     "sample": ["--steps", "--seed", "--guidance"],
-    "ablate": ["--steps", "--log-every", "--channels", "--seed", "--stop-loss",
-               "--sample-steps", "--guidance"],
+    "ablate": ["--steps", "--channels", "--seed", "--stop-loss", "--sample-steps",
+               "--guidance"],
     "gradcheck": ["--max-entries", "--seed", "--tol", "--eps"],
 }
 FLAG_VALUES = ["nan", "inf", "-1", "0", "1e308", "", "1.5", "0.5", "1e-3",
