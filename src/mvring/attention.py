@@ -10,7 +10,9 @@
 All operators are residual-free: they return the projected attention output
 with the input's shape, and the caller decides how to mix it back in. Each
 takes a stack of B rings, [B*f, C, H, W], reads f from the stack's ring and
-mixes views within a ring only.
+mixes views within a ring only. Shapes are checked where they are read:
+`matmul` refuses parameters built for another channel width, and
+`avg_pool2d` a stride that does not divide the maps.
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ class AttentionParams:
     w_v: Tensor
     w_o: Tensor
 
-    @property
-    def channels(self):
-        return self.w_q.shape[0]
-
     @classmethod
     def init(cls, tape, prefix, channels, *, out_scale, kv_dim=None, seed=None):
         """Xavier-ish Q/K/V and a small random output projection whose scale
@@ -76,15 +74,13 @@ class AttentionParams:
 def sdpa(q, k, v, bias=None):
     """softmax(q k^T / sqrt(d)) v over the last two axes.
 
-    q is [..., n, d]; k and v are [..., m, d] with matching batch dims, or
-    2-D [m, d] shared across the batch. `bias` is an additive logit array
-    (0 keeps a key, large negative removes it).
+    q is [..., n, d], k is [..., m, d] and v is [..., m, e]; k and v have q's
+    batch dims or are 2-D, shared across the batch. `matmul` refuses any
+    other shapes. `bias` is an additive logit array (0 keeps a key, large
+    negative removes it).
     """
-    d = q.shape[-1]
-    if k.shape[-1] != d or v.shape[-1] != d or k.shape[:-1] != v.shape[:-1]:
-        raise ValueError(f"sdpa shape mismatch: q{q.shape} k{k.shape} v{v.shape}")
     logits = matmul(q, k.swap_last2())
-    return matmul(softmax(logits, scale=1.0 / np.sqrt(d), bias=bias), v)
+    return matmul(softmax(logits, scale=1.0 / np.sqrt(q.shape[-1]), bias=bias), v)
 
 
 def _to_tokens(x):
@@ -97,12 +93,6 @@ def _to_maps(tokens, h, w):
     """[n, H*W, C] -> [n, C, H, W]."""
     n, hw, c = tokens.shape
     return tokens.reshape(n, h, w, c).transpose((0, 3, 1, 2))
-
-
-def _check_channels(stack, params):
-    if params.channels != stack.channels:
-        raise ValueError(f"params built for {params.channels} channels, "
-                         f"stack has {stack.channels}")
 
 
 def _ring_window(t, axis):
@@ -121,7 +111,6 @@ def adjacent_attention(stack: LatentStack, params: AttentionParams) -> LatentSta
     Neighbours are cyclic within each ring; with f=1 all three slots are the
     view itself, which renormalizes to plain self-attention.
     """
-    _check_channels(stack, params)
     n, c, h, w = stack.data.shape
     f, b = stack.f, stack.rings
     tokens = _to_tokens(stack.data)
@@ -168,7 +157,6 @@ def trajectory_attention(stack: LatentStack, ring: ViewRing,
     one band of 9W tokens (rows y-1..y+1 of views i-1, i, i+1) under a static
     mask that keeps exactly those windows.
     """
-    _check_channels(stack, params)
     n, c, h, w = stack.data.shape
     f = ring.f
     if (ring.H, ring.W) != (h, w) or n % f:
@@ -211,10 +199,6 @@ class ScoreMapper(Mlp2):
     """Mlp2 logit of each position's relevance to the prompt; score_map
     squashes it into (0, 1)."""
 
-    @property
-    def in_dim(self):
-        return self.w1.shape[0]
-
     @classmethod
     def init(cls, tape, prefix, channels, text_dim):
         return super().init(tape, prefix, channels + text_dim, max(channels, 8), 1)
@@ -225,15 +209,13 @@ def score_map(stack: LatentStack, text_emb, mapper: ScoreMapper) -> Tensor:
 
     `text_emb` is one embedding [text_dim], or one per ring [B, text_dim].
     """
-    n, c, h, w = stack.data.shape
+    n, _, h, w = stack.data.shape
     e = np.asarray(text_emb)
-    if e.ndim not in (1, 2) or c + e.shape[-1] != mapper.in_dim \
-            or e.reshape(-1, e.shape[-1]).shape[0] != stack.rings:
-        raise ValueError(f"mapper expects dim {mapper.in_dim} and one embedding "
-                         f"per ring, got {c} channels + {e.shape} embedding "
+    d = e.shape[-1]
+    if e.reshape(-1, d).shape[0] != stack.rings:
+        raise ValueError(f"need one embedding per ring, got {e.shape} "
                          f"for {stack.rings} ring(s)")
     hw = h * w
-    d = e.shape[-1]
     tokens = _to_tokens(stack.data)
     per_view = np.broadcast_to(e.reshape(-1, 1, 1, d),
                                (stack.rings, stack.f, hw, d))
@@ -249,10 +231,6 @@ class AirConfig:
     tau: int = 2
     rho: int = 4
 
-    def __post_init__(self):
-        if self.tau < 1 or self.rho < self.tau:
-            raise ValueError(f"need 1 <= tau <= rho, got tau={self.tau} rho={self.rho}")
-
 
 def air_attention(stack: LatentStack, scores: Tensor, cfg: AirConfig,
                   params: AttentionParams) -> LatentStack:
@@ -263,13 +241,10 @@ def air_attention(stack: LatentStack, scores: Tensor, cfg: AirConfig,
     of every view in its ring; the result is projected and bilinearly
     upsampled to the input resolution.
     """
-    _check_channels(stack, params)
     n, c, h, w = stack.data.shape
     f, b = stack.f, stack.rings
     if scores.shape != (n, 1, h, w):
         raise ValueError(f"scores must be [n,1,H,W]={n, 1, h, w}, got {scores.shape}")
-    if h % cfg.tau or w % cfg.tau or h % cfg.rho or w % cfg.rho:
-        raise ValueError(f"strides {cfg.tau},{cfg.rho} must divide {h}x{w}")
     tokens = _to_tokens(stack.data)
     q_maps = _to_maps(matmul(tokens, params.w_q), h, w)
     k_maps = _to_maps(matmul(tokens, params.w_k), h, w)

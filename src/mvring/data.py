@@ -118,11 +118,6 @@ class RenderedSet:
     depths: np.ndarray
     ring: ViewRing
 
-    def __post_init__(self):
-        if self.images.shape[0] != self.ring.f:
-            raise ShapeMismatchError(
-                f"{self.images.shape[0]} images for a ring of f={self.ring.f}")
-
 
 def view_basis(azimuth_deg, elevation_deg=0.0):
     """Orthonormal (right, up, forward) camera axes for a ring position."""

@@ -99,10 +99,6 @@ class LatentStack:
     def rings(self):
         return self.data.shape[0] // self.ring.f
 
-    @property
-    def channels(self):
-        return self.data.shape[1]
-
     def with_data(self, data):
         return LatentStack(data, self.ring)
 

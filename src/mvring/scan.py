@@ -126,10 +126,6 @@ class SsmParams:
     b_c: Tensor     # [N]
 
     @property
-    def d_model(self):
-        return self.a_log.shape[0]
-
-    @property
     def d_state(self):
         return self.a_log.shape[1]
 
@@ -224,8 +220,6 @@ def rapid_glance(stack: LatentStack, params: SsmParams,
     added back onto the input. `row-major` runs pass one only.
     """
     n, C, H, W = stack.data.shape
-    if params.d_model != C:
-        raise ValueError(f"ssm channel dim {params.d_model} != stack channels {C}")
     order = _strategy_order(strategy, H, W)
     b, f, hw = stack.rings, stack.f, H * W
     inverse = np.argsort(order)

@@ -178,9 +178,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape})"
-
     # -- graph machinery -----------------------------------------------------
 
     @property

@@ -49,10 +49,6 @@ class TestSchedule:
         assert np.all(np.diff(s.alpha_bar) < 0)
         assert np.all(s.alpha_bar > 0) and np.all(s.alpha_bar <= 1)
 
-    def test_invalid_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSchedule(alpha_bar=np.array([1.0, 0.5, 0.6]))
-
     def test_add_noise_boundaries(self, rng):
         s = NoiseSchedule.linear(ModelConfig.T)
         z0 = rng.standard_normal((2, 3, 4, 4))
@@ -541,7 +537,7 @@ class TestTrainingStep:
         z0 = np.zeros((2, 3, 4, 4))
         batch = {"z0": z0, "text": prompt_emb, "null": np.zeros_like(prompt_emb)}
         before = [p.data.copy() for p in model.params()]
-        with pytest.raises(ValueError, match="max_steps and log_every"):
+        with pytest.raises(ValueError, match=f"{next(iter(kw))} must be >= 1"):
             train_loop(batch, model, seed=0, **kw)
         assert all(np.array_equal(a, p.data)
                    for a, p in zip(before, model.params()))

@@ -323,16 +323,20 @@ class TestCliPipeline:
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_train_without_steps_is_config_error(self, dataset_dir, tmp_path,
                                                  capsys, steps):
-        assert main(["train", "--dataset", str(dataset_dir),
-                     "--out", str(tmp_path / "ck"), "--steps", steps]) == 2
-        assert "max_steps and log_every must be >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "ck").exists()
+        """The message names only the count that is below 1: ablate passes
+        --steps as the log interval too, and has no --log-every to blame."""
+        for cmd in ("train", "ablate"):
+            assert main([cmd, "--dataset", str(dataset_dir),
+                         "--out", str(tmp_path / cmd), "--steps", steps]) == 2
+            err = capsys.readouterr().err
+            assert "max_steps must be >= 1" in err and "log_every" not in err
+            assert not (tmp_path / cmd).exists()
 
     def test_log_every_below_one_is_config_error(self, dataset_dir, tmp_path,
                                                  capsys):
         assert main(["train", "--dataset", str(dataset_dir),
                      "--out", str(tmp_path / "o"), "--log-every", "0"]) == 2
-        assert "max_steps and log_every must be >= 1" in capsys.readouterr().err
+        assert "log_every must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("cmd", ["train", "ablate"])

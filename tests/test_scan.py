@@ -305,14 +305,6 @@ class TestRapidGlance:
         want = ref.rapid_glance(z, p, "spiral-bidirectional")
         assert np.max(np.abs(got - want)) < 1e-12
 
-    def test_channel_mismatch_rejected(self, rng):
-        tape = Tape(8)
-        p = make_params(tape, 4, 2)
-        ring = ViewRing(f=2, W=2, H=2)
-        stack = LatentStack(Tensor(rng.standard_normal((2, 3, 2, 2))), ring)
-        with pytest.raises(ValueError, match="channel"):
-            rapid_glance(stack, p)
-
     def test_row_major_strategy_single_pass(self, rng):
         tape = Tape(9)
         p = make_params(tape, 4, 2)
